@@ -29,7 +29,7 @@
 #include "daemon/daemon.h"
 #include "geom/grid.h"
 #include "service/journal.h"
-#include "sim/machine.h"
+#include "sim/simulator.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
 
@@ -149,31 +149,6 @@ main(int argc, char **argv)
         record("simulate/hybrid-line#1/adder",
                bestOf(simReps, [&] { simulate(adder, opts); }),
                "instruction", adder.size());
-    }
-
-    // ---- sampled-estimator fast-forward kernel -------------------------
-    // Functional warming throughput: replay the adder stream through
-    // fastForwardOne() the way the sampled estimator walks skipped
-    // spans (memory-op skip-list, no timing). Normalized per *program*
-    // instruction so it reads directly against simulate/point#1/adder
-    // — the gap between the two is the most sampling can save per
-    // skipped instruction (docs/SAMPLING.md).
-    {
-        SimOptions opts;
-        opts.arch.sam = SamKind::Point;
-        record("estimate/ff/point#1/adder",
-               bestOf(simReps,
-                      [&] {
-                          detail::Machine<SamKind::Point, false>
-                              machine(adder, opts);
-                          const Instruction *code =
-                              adder.instructions().data();
-                          const auto index = adder.streamIndex();
-                          for (const std::int64_t i : index->memOps)
-                              machine.fastForwardOne(code[i]);
-                          doNotOptimize(machine.pmExecuted());
-                      }),
-               "instruction", adder.size(), "ns_per_ff_instr");
     }
 
     // ---- bank cost-model kernels ---------------------------------------

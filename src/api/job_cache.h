@@ -40,8 +40,8 @@ class JobCacheClient
      * @p provenance is the canonical job manifest the fingerprint was
      * derived from (api::jobManifest) — persisted beside the entry so
      * a cache hit can always be traced back to the exact benchmark
-     * params, lowered-program identity, arch config, and
-     * sim/estimator options that produced it.
+     * params, lowered-program identity, arch config, and sim options
+     * that produced it.
      */
     virtual void storeEntry(const std::string &fingerprint,
                             const Json &entry, const Json &provenance) = 0;

@@ -140,25 +140,6 @@ fig14(bool full)
 }
 
 SweepSpec
-fig14Sampled(bool full)
-{
-    SweepSpec spec = fig14(full);
-    spec.name = "fig14_sampled";
-    // 200-instruction units, one of every 40 measured, with a
-    // 200-instruction detailed warm-up each: ~1.7% of a 60k-prefix
-    // program runs in detail, which reproduces the figure an order of
-    // magnitude faster while the ci95 stays a few percent of cpi.
-    // target_ci makes the orchestration service escalate any shard
-    // whose relative half-width exceeds 10% to an exact rerun.
-    spec.estimator.mode = estimate::EstimatorMode::Sampled;
-    spec.estimator.unitInstrs = 200;
-    spec.estimator.warmupInstrs = 200;
-    spec.estimator.period = 40;
-    spec.estimator.targetCi = 0.10;
-    return spec;
-}
-
-SweepSpec
 fig15(bool full)
 {
     SweepSpec spec;
@@ -337,8 +318,6 @@ byName(const std::string &name, bool full)
         return fig13(full);
     if (name == "fig14")
         return fig14(full);
-    if (name == "fig14_sampled")
-        return fig14Sampled(full);
     if (name == "fig15")
         return fig15(full);
     if (name == "ablation")
@@ -347,7 +326,7 @@ byName(const std::string &name, bool full)
         return smoke();
     throw ConfigError(
         "unknown spec \"" + name +
-        "\" (fig13|fig14|fig14_sampled|fig15|ablation|smoke)");
+        "\" (fig13|fig14|fig15|ablation|smoke)");
 }
 
 } // namespace lsqca::api::specs

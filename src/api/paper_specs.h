@@ -26,15 +26,6 @@ SweepSpec fig13(bool full = false);
 /** Fig. 14: hybrid density/overhead trade-off, f = 0..1 step 0.05. */
 SweepSpec fig14(bool full = false);
 
-/**
- * Fig. 14 under the sampled estimator (docs/SAMPLING.md): the same
- * 1785-job sweep with systematic sampling + functional warming, so the
- * whole figure reproduces in a fraction of the exact wall-clock with
- * cpi ± ci95 per entry. The CI sampling gate runs it and checks every
- * exact cpi lies inside the sampled interval.
- */
-SweepSpec fig14Sampled(bool full = false);
-
 /** Fig. 15: SELECT width scaling with hot-register hybrid layouts. */
 SweepSpec fig15(bool full = false);
 
@@ -44,10 +35,7 @@ SweepSpec ablation(bool full = false);
 /** CI-sized smoke sweep (miniature programs, seconds to run). */
 SweepSpec smoke();
 
-/**
- * Builder lookup by name
- * (fig13|fig14|fig14_sampled|fig15|ablation|smoke).
- */
+/** Builder lookup by name (fig13|fig14|fig15|ablation|smoke). */
 SweepSpec byName(const std::string &name, bool full = false);
 
 } // namespace lsqca::api::specs

@@ -119,37 +119,6 @@ archConfigFromJson(const Json &doc)
 }
 
 Json
-toJson(const estimate::EstimatorOptions &options)
-{
-    Json doc = Json::object();
-    doc.set("mode", estimate::estimatorModeName(options.mode));
-    doc.set("unit_instrs", options.unitInstrs);
-    doc.set("warmup_instrs", options.warmupInstrs);
-    doc.set("period", options.period);
-    doc.set("target_ci", options.targetCi);
-    return doc;
-}
-
-estimate::EstimatorOptions
-estimatorOptionsFromJson(const Json &doc)
-{
-    estimate::EstimatorOptions options;
-    ObjectReader reader(doc, "estimator");
-    const Json &mode = reader.require("mode");
-    LSQCA_REQUIRE(mode.isString(), "estimator.mode must be a string");
-    options.mode = estimate::estimatorModeFromName(mode.asString());
-    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
-    reader.readInt64("unit_instrs", options.unitInstrs, 1, max);
-    reader.readInt64("warmup_instrs", options.warmupInstrs, 0, max);
-    reader.readInt64("period", options.period, 1, max);
-    reader.readDouble("target_ci", options.targetCi, 0.0,
-                      std::numeric_limits<double>::max());
-    reader.finish();
-    options.validate();
-    return options;
-}
-
-Json
 toJson(const SimOptions &options)
 {
     Json doc = Json::object();
@@ -157,11 +126,6 @@ toJson(const SimOptions &options)
     doc.set("max_instructions", options.maxInstructions);
     doc.set("record_trace", options.recordTrace);
     doc.set("record_breakdown", options.recordBreakdown);
-    // Omitted when exact, so exact-mode documents — and everything
-    // fingerprinted from them (shard manifests, cache keys) — are
-    // byte-identical to pre-estimator output.
-    if (options.estimator.mode != estimate::EstimatorMode::Exact)
-        doc.set("estimator", toJson(options.estimator));
     return doc;
 }
 
@@ -176,8 +140,6 @@ simOptionsFromJson(const Json &doc)
                      std::numeric_limits<std::int64_t>::max());
     reader.readBool("record_trace", options.recordTrace);
     reader.readBool("record_breakdown", options.recordBreakdown);
-    if (const Json *estimator = reader.find("estimator"))
-        options.estimator = estimatorOptionsFromJson(*estimator);
     reader.finish();
     options.arch.validate();
     return options;

@@ -52,19 +52,8 @@ void applyArchPatch(ArchConfig &cfg, const Json &patch);
 ArchConfig archConfigFromJson(const Json &doc);
 
 /**
- * Full estimator block: mode + unit_instrs + warmup_instrs + period +
- * target_ci (docs/SAMPLING.md).
- */
-Json toJson(const estimate::EstimatorOptions &options);
-
-/** Strict deserialization; the result is validate()d. */
-estimate::EstimatorOptions estimatorOptionsFromJson(const Json &doc);
-
-/**
  * Full SimOptions document: arch + max_instructions + record_trace +
- * record_breakdown, plus an "estimator" block only when the mode is
- * not exact — exact-mode documents (and their fingerprints) are
- * byte-identical to pre-estimator output. SimOptions::observers are
+ * record_breakdown. SimOptions::observers are
  * runtime-only (borrowed pointers) and are never serialized; a
  * deserialized options object always has an empty observer list.
  */

@@ -21,7 +21,6 @@ namespace lsqca::api {
 namespace {
 
 constexpr const char *kSpecSchemaV1 = "lsqca-spec-v1";
-constexpr const char *kSpecSchemaV2 = "lsqca-spec-v2";
 constexpr const char *kBenchSchemaV1 = "lsqca-bench-v1";
 constexpr const char *kBenchSchemaV2 = "lsqca-bench-v2";
 
@@ -210,12 +209,9 @@ SweepSpec::fromJson(const Json &doc)
     SweepSpec spec;
     ObjectReader reader(doc, "spec");
     const Json &schema = reader.require("schema");
-    LSQCA_REQUIRE(schema.isString() &&
-                      (schema.asString() == kSpecSchemaV1 ||
-                       schema.asString() == kSpecSchemaV2),
+    LSQCA_REQUIRE(schema.isString() && schema.asString() == kSpecSchemaV1,
                   std::string("spec.schema must be \"") + kSpecSchemaV1 +
-                      "\" or \"" + kSpecSchemaV2 + "\"");
-    const bool v2 = schema.asString() == kSpecSchemaV2;
+                      "\"");
     reader.readString("name", spec.name);
     LSQCA_REQUIRE(!spec.name.empty(), "spec.name must be set");
     reader.readString("name_template", spec.nameTemplate);
@@ -226,11 +222,6 @@ SweepSpec::fromJson(const Json &doc)
     }
     reader.readBool("record_trace", spec.recordTrace);
     reader.readBool("record_breakdown", spec.recordBreakdown);
-    if (const Json *estimator = reader.find("estimator")) {
-        LSQCA_REQUIRE(v2, "spec.estimator requires schema \"" +
-                              std::string(kSpecSchemaV2) + "\"");
-        spec.estimator = estimatorOptionsFromJson(*estimator);
-    }
     const Json &axes = reader.require("axes");
     LSQCA_REQUIRE(axes.isArray() && axes.size() > 0,
                   "spec.axes must be a non-empty array");
@@ -270,9 +261,8 @@ SweepSpec::load(const std::string &path)
 Json
 SweepSpec::toJson() const
 {
-    const bool v2 = estimator.mode != estimate::EstimatorMode::Exact;
     Json doc = Json::object();
-    doc.set("schema", v2 ? kSpecSchemaV2 : kSpecSchemaV1);
+    doc.set("schema", kSpecSchemaV1);
     doc.set("name", name);
     if (!nameTemplate.empty())
         doc.set("name_template", nameTemplate);
@@ -282,8 +272,6 @@ SweepSpec::toJson() const
         doc.set("record_trace", recordTrace);
     if (recordBreakdown)
         doc.set("record_breakdown", recordBreakdown);
-    if (v2)
-        doc.set("estimator", api::toJson(estimator));
     Json axesDoc = Json::array();
     for (const SweepAxis &axis : axes) {
         Json axisDoc = Json::object();
@@ -447,7 +435,6 @@ expandSpec(const SweepSpec &spec, const BenchmarkRegistry &registry)
         job.options.maxInstructions = prefix;
         job.options.recordTrace = spec.recordTrace;
         job.options.recordBreakdown = spec.recordBreakdown;
-        job.options.estimator = spec.estimator;
         job.name = renderName(spec.nameTemplate, spec.axes, fragments,
                               cfg.label());
         jobs.push_back(std::move(job));
@@ -620,11 +607,6 @@ runSpec(const SweepSpec &spec, BenchmarkRegistry &registry,
 {
     SpecRun run;
     std::vector<ExpandedJob> all = expandSpec(spec, registry);
-    // Before the seed check: a forced-exact shard must expand to the
-    // fingerprint of the exact slice the escalation queued.
-    if (options.forceExact)
-        for (ExpandedJob &job : all)
-            job.options.estimator = estimate::EstimatorOptions{};
     if (!options.seedCheck.empty()) {
         const std::string expanded = shardFingerprint(
             spec, all, options.shard, options.noTiming);

@@ -25,10 +25,7 @@
  * the unsharded one (byte-identical under --no-timing).
  *
  * JSON schema: `lsqca-spec-v1`, documented in docs/SPEC.md with
- * runnable examples under specs/. `lsqca-spec-v2` is v1 plus an
- * optional top-level `"estimator"` block (docs/SAMPLING.md); v1
- * documents parse unchanged, and toJson() only emits v2 when the
- * estimator is non-exact, so existing specs round-trip byte-for-byte.
+ * runnable examples under specs/.
  */
 
 #include <cstdint>
@@ -94,29 +91,16 @@ struct SweepSpec
      * pre-breakdown output).
      */
     bool recordBreakdown = false;
-    /**
-     * Estimator applied to every job (docs/SAMPLING.md). Exact by
-     * default; a sampled estimator makes this a `lsqca-spec-v2`
-     * document and its BENCH entries carry cpi_ci95 / sampling_error
-     * / sampled_units.
-     */
-    estimate::EstimatorOptions estimator;
     /** Outermost axis first. */
     std::vector<SweepAxis> axes;
 
-    /**
-     * Parse a lsqca-spec-v1 or lsqca-spec-v2 document (strict; the
-     * "estimator" key is v2-only). @throws ConfigError.
-     */
+    /** Parse a lsqca-spec-v1 document (strict). @throws ConfigError. */
     static SweepSpec fromJson(const Json &doc);
 
     /** fromJson(Json::load(path)). @throws ConfigError. */
     static SweepSpec load(const std::string &path);
 
-    /**
-     * Serialize back to a spec document: v2 with an "estimator" block
-     * when the estimator is non-exact, byte-identical v1 otherwise.
-     */
+    /** Serialize back to a lsqca-spec-v1 document. */
     Json toJson() const;
 };
 
@@ -207,7 +191,7 @@ shardFingerprints(const SweepSpec &spec,
  * Canonical content manifest of ONE job (schema `lsqca-job-v1`): the
  * bench schema version, the engine epoch, the --no-timing flag, and
  * the job's fully canonicalized benchmark params, translate options,
- * and sim/estimator options. Deliberately excludes the sweep name and
+ * and sim options. Deliberately excludes the sweep name and
  * any shard geometry, so the same grid point hits the same job-cache
  * entry across campaigns, shard counts, and spec edits that merely
  * add neighbours — the incremental-recompute property shard
@@ -273,15 +257,6 @@ struct RunSpecOptions
      * Lets tests kill a worker mid-shard deterministically.
      */
     std::int64_t dieAfter = -1;
-    /**
-     * Run every job with the exact estimator regardless of the spec's
-     * estimator block. Applied to the expanded jobs *before* the
-     * seed-check fingerprint comparison, so a forced-exact shard
-     * expands to the exact slice's fingerprint — this is how the
-     * orchestrator's CI escalation reruns a sampled shard (`lsqca run
-     * --force-exact`, docs/SAMPLING.md).
-     */
-    bool forceExact = false;
     /**
      * Optional observability registry handed to the sweep engine
      * (must outlive the call); `lsqca run --metrics FILE` uses it to

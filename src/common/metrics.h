@@ -6,7 +6,7 @@
  * A lock-cheap registry of named counters, gauges, and histograms —
  * the in-process half of the campaign observability layer
  * (docs/METRICS.md). The service orchestrator counts spawns, retries
- * by cause, cache traffic, and escalations here; the sweep thread
+ * by cause, and cache traffic here; the sweep thread
  * pool (when a registry is attached) accounts queue-wait, per-job
  * wall, and per-worker busy time.
  *

@@ -146,13 +146,6 @@ Daemon::finishDrained()
             ++i;
             continue;
         }
-        if (tenant.scheduler->maybeEscalate()) {
-            // Derived exact reruns joined the queue: give the shared
-            // cache a chance first, then dispatch as usual.
-            tenant.scheduler->cachePass();
-            ++i;
-            continue;
-        }
         const service::CampaignReport report =
             tenant.scheduler->finish(false);
         Json fields = Json::object();

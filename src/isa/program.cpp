@@ -115,23 +115,14 @@ Program::streamIndex() const
         return cached;
     auto index = std::make_shared<StreamIndex>();
     const std::size_t n = code_.size();
-    index->countedPrefix.resize(n + 1, 0);
-    index->pmPrefix.resize(n + 1, 0);
     index->maxSlotPrefix.resize(n + 1, -1);
     index->maxValPrefix.resize(n + 1, -1);
     for (std::size_t i = 0; i < n; ++i) {
         const Instruction &inst = code_[i];
-        index->countedPrefix[i + 1] =
-            index->countedPrefix[i] +
-            (inst.op != Opcode::LD && inst.op != Opcode::ST);
-        index->pmPrefix[i + 1] =
-            index->pmPrefix[i] + (inst.op == Opcode::PM);
         index->maxSlotPrefix[i + 1] = std::max(
             {index->maxSlotPrefix[i], inst.c0, inst.c1});
         index->maxValPrefix[i + 1] =
             std::max(index->maxValPrefix[i], inst.v0);
-        if (inst.op == Opcode::PM || opcodeInfo(inst.op).numMem >= 1)
-            index->memOps.push_back(static_cast<std::int64_t>(i));
     }
     std::shared_ptr<const StreamIndex> memo = std::move(index);
     std::atomic_store_explicit(&streamIndex_, memo,

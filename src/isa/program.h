@@ -29,22 +29,13 @@ struct VariableRegister
 };
 
 /**
- * Memoized per-instruction prefix data over a Program, shared by every
- * consumer that would otherwise rescan the stream per job (the sampled
- * estimator walks skipped spans through memOps instead of the whole
- * code vector; see src/estimate/).
+ * Memoized per-instruction prefix maxima over a Program. The machine
+ * sizes its register-slot and value timelines from them for the
+ * simulated prefix; without the memo every sweep job over a shared
+ * program would rescan the stream to find those sizes.
  */
 struct StreamIndex
 {
-    /** countedPrefix[i] = counted (non-LD/ST) instructions in [0, i). */
-    std::vector<std::int64_t> countedPrefix;
-    /** pmPrefix[i] = PM instructions in [0, i). */
-    std::vector<std::int64_t> pmPrefix;
-    /**
-     * Ascending indices of instructions with a memory operand or PM —
-     * the only opcodes that can change functional machine state.
-     */
-    std::vector<std::int64_t> memOps;
     /** maxSlotPrefix[i] = largest CR slot referenced in [0, i), or -1. */
     std::vector<std::int32_t> maxSlotPrefix;
     /** maxValPrefix[i] = largest value slot referenced in [0, i), or -1. */
@@ -104,7 +95,7 @@ class Program
     std::vector<std::int64_t> referenceCounts() const;
 
     /**
-     * Prefix-sum / memory-op index over the stream, memoized with the
+     * Prefix-maxima index over the stream, memoized with the
      * same contract as referenceCounts(): computed on first call,
      * invalidated by append(), safe under concurrent readers.
      */

@@ -6,8 +6,8 @@
  * The persistent campaign event journal: an append-only
  * `events.jsonl` (schema `lsqca-events-v1`, docs/METRICS.md) written
  * beside `queue.json`. Where the queue holds the campaign's *current*
- * state, the journal holds its *history* — every spawn, exit, retry,
- * cache hit, and escalation, across every submit/resume leg — so
+ * state, the journal holds its *history* — every spawn, exit, retry
+ * and cache hit, across every submit/resume leg — so
  * `lsqca report` and `lsqca status` can reconstruct where campaign
  * time and work went without having watched it happen.
  *

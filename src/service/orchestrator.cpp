@@ -124,14 +124,8 @@ Orchestrator::drive(CampaignAdmission admission)
             return report;
         }
 
-        if (scheduler.runningCount() == 0) {
-            if (!scheduler.maybeEscalate())
-                break;
-            // New derived tasks: give the cache a chance first, then
-            // fall through to dispatch whatever it missed.
-            scheduler.cachePass();
-            continue;
-        }
+        if (scheduler.runningCount() == 0)
+            break;
 
         scheduler.pollWorkers();
         if (scheduler.runningCount() > 0)

@@ -15,7 +15,7 @@
  * direct unsharded `lsqca run` under --no-timing.
  *
  * The engine itself — dispatch, retry funnel, straggler policy,
- * layered cache, CI escalation, merge — lives in service/scheduler.h
+ * layered cache, merge — lives in service/scheduler.h
  * and is shared with the multi-tenant daemon (`lsqca serve`,
  * src/daemon/). The Orchestrator contributes what is specific to the
  * one-shot shape: admission from the CLI's flags, the drive loop's
@@ -34,7 +34,6 @@
  *                              report` and `lsqca status`)
  *     <state>/metrics.json     registry snapshot of the last drive
  *     <state>/shards/BENCH_*   per-shard worker output
- *     <state>/shards/exact/BENCH_*  escalated exact reruns
  *     <state>/logs/shard<i>.attempt<a>.log
  *     <state>/cache/<fp>.json  result cache (override via cacheDir)
  *     <state>/BENCH_<campaign>.json   merged artifact (see outDir)

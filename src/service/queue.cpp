@@ -4,7 +4,6 @@
 #include "common/error.h"
 #include "common/fs.h"
 #include "common/hash.h"
-#include "estimate/options.h"
 
 namespace lsqca::service {
 
@@ -58,9 +57,6 @@ QueueState::fromJson(const Json &doc)
     reader.readInt32("max_attempts", state.maxAttempts, 1, 1000);
     const Json &tasks = reader.require("tasks");
     LSQCA_REQUIRE(tasks.isArray(), "queue.tasks must be an array");
-    LSQCA_REQUIRE(tasks.size() >=
-                      static_cast<std::size_t>(state.shardCount),
-                  "queue.tasks must hold at least one task per shard");
     for (const Json &taskDoc : tasks.items()) {
         api::ObjectReader taskReader(taskDoc, "queue task");
         ShardTask task;
@@ -78,32 +74,19 @@ QueueState::fromJson(const Json &doc)
         taskReader.readBool("cached", task.cached);
         taskReader.readString("output", task.output);
         taskReader.readString("last_error", task.lastError);
-        taskReader.readString("mode", task.mode);
-        if (!task.mode.empty())
-            estimate::estimatorModeFromName(task.mode);
-        taskReader.readBool("escalated", task.escalated);
         taskReader.readInt32("jobs_cached", task.jobsCached, 0,
                              1 << 30);
         taskReader.readInt32("jobs_computed", task.jobsComputed, 0,
                              1 << 30);
         taskReader.finish();
-        const auto position =
-            static_cast<std::int32_t>(state.tasks.size());
-        if (position < state.shardCount) {
-            LSQCA_REQUIRE(!task.escalated && task.index == position,
-                          "queue tasks must be ordered by shard index "
-                          "(derived escalation tasks come after the "
-                          "base shards)");
-        } else {
-            LSQCA_REQUIRE(task.escalated,
-                          "queue tasks past shard_count must be "
-                          "derived escalation tasks");
-            LSQCA_REQUIRE(state.escalationFor(task.index) == nullptr,
-                          "duplicate escalation task for shard " +
-                              std::to_string(task.index));
-        }
+        LSQCA_REQUIRE(task.index ==
+                          static_cast<std::int32_t>(state.tasks.size()),
+                      "queue tasks must be ordered by shard index");
         state.tasks.push_back(std::move(task));
     }
+    LSQCA_REQUIRE(state.tasks.size() ==
+                      static_cast<std::size_t>(state.shardCount),
+                  "queue.tasks must hold exactly one task per shard");
     reader.finish();
     return state;
 }
@@ -129,13 +112,7 @@ QueueState::toJson() const
         taskDoc.set("cached", task.cached);
         taskDoc.set("output", task.output);
         taskDoc.set("last_error", task.lastError);
-        // Emitted only when set, so pre-estimator queue documents
-        // round-trip byte-identically.
-        if (!task.mode.empty())
-            taskDoc.set("mode", task.mode);
-        if (task.escalated)
-            taskDoc.set("escalated", true);
-        // Same omit-when-default rule: queue documents from before the
+        // Emitted only when set, so queue documents from before the
         // job-granularity cache round-trip byte-identically.
         if (task.jobsCached > 0)
             taskDoc.set("jobs_cached", task.jobsCached);
@@ -172,16 +149,6 @@ QueueState::countWithStatus(TaskStatus status) const
         if (task.status == status)
             ++count;
     return count;
-}
-
-const ShardTask *
-QueueState::escalationFor(std::int32_t index) const
-{
-    for (std::size_t t = static_cast<std::size_t>(shardCount);
-         t < tasks.size(); ++t)
-        if (tasks[t].index == index)
-            return &tasks[t];
-    return nullptr;
 }
 
 std::size_t

@@ -25,15 +25,6 @@
  * `attempts` counts spawns, so "attempt counts persist across
  * orchestrator restart" falls out of the write-before-spawn rule
  * rather than any recovery logic.
- *
- * Campaigns over a sampled spec (docs/SAMPLING.md) may append
- * *derived* escalation tasks after the base shards: when a finished
- * shard's BENCH entries breach the spec's `target_ci`, the
- * orchestrator queues an exact rerun of the same slice (`escalated:
- * true`, the exact slice's fingerprint, worker flag `--force-exact`).
- * Derived tasks live past `shard_count` in the task array, reuse the
- * base shard's index, and survive resume like any other task; the
- * merge prefers their output over the sampled shard's.
  */
 
 #include <cstdint>
@@ -80,18 +71,6 @@ struct ShardTask
     /** Last failure, e.g. "signal 9 (straggler)" ("" when none). */
     std::string lastError;
     /**
-     * Estimator mode the task's worker runs under ("" = exact, kept
-     * implicit so pre-estimator queue documents round-trip
-     * byte-identically). Base tasks of a sampled campaign carry
-     * "sampled"; escalated reruns leave it "" (they force exact).
-     */
-    std::string mode;
-    /**
-     * A derived CI-escalation task: an exact rerun of base shard
-     * `index`, appended past shard_count (docs/SAMPLING.md).
-     */
-    bool escalated = false;
-    /**
      * Job-granularity cache split the last cache pass predicted for
      * this slice: jobs served from the job cache vs jobs its worker
      * must simulate (docs/SERVICE.md). Both 0 for shard-level hits
@@ -114,11 +93,7 @@ struct QueueState
     bool noTiming = false;
     /** Spawn budget per shard before it is marked failed. */
     std::int32_t maxAttempts = 3;
-    /**
-     * One task per shard in index order, then any derived escalation
-     * tasks (escalated == true) appended in the order they were
-     * queued.
-     */
+    /** Exactly one task per shard, in index order. */
     std::vector<ShardTask> tasks;
 
     /** Strict lsqca-queue-v1 parse. @throws ConfigError. */
@@ -133,18 +108,6 @@ struct QueueState
     void save(const std::string &path) const;
 
     std::size_t countWithStatus(TaskStatus status) const;
-
-    /** Derived escalation tasks appended so far. */
-    std::size_t escalationCount() const
-    {
-        return tasks.size() - static_cast<std::size_t>(shardCount);
-    }
-
-    /**
-     * The derived escalation task rerunning base shard @p index
-     * (nullptr when that shard was never escalated).
-     */
-    const ShardTask *escalationFor(std::int32_t index) const;
 
     bool allDone() const
     {

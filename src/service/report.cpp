@@ -80,8 +80,8 @@ CampaignStats::fromEvents(const std::vector<Json> &lines)
     // (task_done / retry / task_failed) can label its outcome.
     std::map<std::int32_t, std::size_t> openByWorker;
     std::map<std::int32_t, std::size_t> lastClosedByShard;
-    // Distinct (shard, escalated) tasks that needed a spawn.
-    std::set<std::pair<std::int32_t, bool>> spawnedTasks;
+    // Distinct shards that needed a spawn.
+    std::set<std::int32_t> spawnedShards;
 
     for (const Json &event : lines) {
         LSQCA_REQUIRE(event.isObject() && event.contains("event") &&
@@ -140,12 +140,10 @@ CampaignStats::fromEvents(const std::vector<Json> &lines)
             span.worker = asInt32(event.at("worker"));
             span.shard = asInt32(event.at("shard"));
             span.attempt = asInt32(event.at("attempt"));
-            if (const Json *esc = event.find("escalated"))
-                span.escalated = esc->asBool();
             span.start = span.end = t;
             span.outcome = "interrupted";
             ++stats.spawned;
-            spawnedTasks.insert({span.shard, span.escalated});
+            spawnedShards.insert(span.shard);
             openByWorker[span.worker] = stats.spans.size();
             stats.spans.push_back(std::move(span));
             continue;
@@ -191,17 +189,6 @@ CampaignStats::fromEvents(const std::vector<Json> &lines)
                 stats.spans[closed->second].outcome = outcome;
             continue;
         }
-        if (kind == "escalation") {
-            EscalationRecord record;
-            record.shard = asInt32(event.at("shard"));
-            record.entry = event.at("entry").asString();
-            record.ci = event.at("ci").asDouble();
-            record.targetCi = event.at("target_ci").asDouble();
-            stats.instants.emplace_back(
-                t, "escalate shard " + std::to_string(record.shard));
-            stats.escalations.push_back(std::move(record));
-            continue;
-        }
         if (kind == "merge") {
             stats.mergedPath = event.at("path").asString();
             stats.bytesMerged = event.at("bytes").asInt();
@@ -222,7 +209,7 @@ CampaignStats::fromEvents(const std::vector<Json> &lines)
     for (const auto &[worker, index] : openByWorker)
         stats.spans[index].end =
             std::max(stats.spans[index].end, stats.lastT);
-    stats.cacheMisses = static_cast<std::int64_t>(spawnedTasks.size());
+    stats.cacheMisses = static_cast<std::int64_t>(spawnedShards.size());
     return stats;
 }
 
@@ -290,10 +277,6 @@ renderReport(const CampaignStats &stats, std::ostream &out)
     breakdown.addRow({"retries", std::to_string(stats.retries)});
     breakdown.addRow({"stragglers_killed",
                       std::to_string(stats.stragglersKilled)});
-    breakdown.addRow(
-        {"escalations",
-         std::to_string(static_cast<std::int64_t>(
-             stats.escalations.size()))});
     out << "\n" << breakdown.render("wall-clock breakdown");
 
     out << "\ncache: " << stats.cacheHits << " hit"
@@ -329,15 +312,6 @@ renderReport(const CampaignStats &stats, std::ostream &out)
         for (const auto &[cause, count] : stats.retriesByCause)
             causes.addRow({cause, std::to_string(count)});
         out << "\n" << causes.render("retry causes");
-    }
-
-    if (!stats.escalations.empty()) {
-        TextTable table({"shard", "entry", "ci", "target_ci"});
-        for (const EscalationRecord &record : stats.escalations)
-            table.addRow({std::to_string(record.shard), record.entry,
-                          TextTable::num(record.ci, 6),
-                          TextTable::num(record.targetCi, 6)});
-        out << "\n" << table.render("ci escalations");
     }
 
     if (!workers.empty()) {
@@ -412,8 +386,6 @@ writeChromeTrace(const CampaignStats &stats, std::ostream &out)
         Json args = Json::object();
         args.set("shard", span.shard);
         args.set("attempt", span.attempt);
-        if (span.escalated)
-            args.set("escalated", true);
         args.set("outcome", span.outcome);
         event.set("args", std::move(args));
         events.push(std::move(event));

@@ -12,16 +12,16 @@
  *
  *  - CampaignStats::fromFile / fromEvents: one pass over the event
  *    stream folding it into counters (spawns, retries by cause, cache
- *    hits, stragglers, escalations), per-worker attempt spans, and
+ *    hits, stragglers), per-worker attempt spans, and
  *    per-shard last-activity times.
  *  - renderReport: the human tables (wall-clock breakdown, throughput,
- *    retry causes, cache hit rate, escalations, per-worker
+ *    retry causes, cache hit rate, per-worker
  *    utilization). Deterministic given the journal bytes, so a
  *    `--clock logical` campaign reports byte-identically across runs.
  *  - writeChromeTrace: the same spans as a Chrome/Perfetto trace
  *    (`chrome://tracing` JSON array format): one track per worker
  *    slot, one "X" complete span per shard attempt, instant events
- *    for cache hits, retries, and escalations on the orchestrator
+ *    for cache hits, retries, and the merge on the orchestrator
  *    track (tid 0). See docs/METRICS.md for the exact mapping.
  */
 
@@ -41,7 +41,6 @@ struct AttemptSpan
     std::int32_t worker = 0;
     std::int32_t shard = 0;
     std::int32_t attempt = 0;
-    bool escalated = false;
     /** Journal time units (seconds, or sequence under --clock logical). */
     double start = 0.0;
     double end = 0.0;
@@ -50,16 +49,6 @@ struct AttemptSpan
      * event before its leg ended).
      */
     std::string outcome;
-};
-
-/** One CI escalation decision. */
-struct EscalationRecord
-{
-    std::int32_t shard = 0;
-    /** BENCH entry whose confidence interval breached the target. */
-    std::string entry;
-    double ci = 0.0;
-    double targetCi = 0.0;
 };
 
 /** Everything `lsqca report` knows, folded from events.jsonl alone. */
@@ -96,7 +85,6 @@ struct CampaignStats
     std::int64_t tasksFailed = 0;
 
     std::vector<AttemptSpan> spans;
-    std::vector<EscalationRecord> escalations;
     /** (t, label) orchestrator-track instants for the Chrome trace. */
     std::vector<std::pair<double, std::string>> instants;
 

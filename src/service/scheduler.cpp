@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "common/fs.h"
 #include "common/table.h"
-#include "estimate/options.h"
 #include "sweep/sweep.h"
 
 namespace lsqca::service {
@@ -47,23 +46,6 @@ formatArgDouble(double value)
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%.17g", value);
     return buffer;
-}
-
-/**
- * Fingerprints of the campaign's shards rerun with the exact
- * estimator: what a `--force-exact` worker expands to, and therefore
- * the content address of a derived escalation task (the same key an
- * exact campaign over the same spec would use, so escalations share
- * its cache entries).
- */
-std::vector<std::string>
-exactShardFingerprints(const api::SweepSpec &spec,
-                       std::vector<api::ExpandedJob> jobs,
-                       std::int32_t shardCount, bool noTiming)
-{
-    for (api::ExpandedJob &job : jobs)
-        job.options.estimator = estimate::EstimatorOptions{};
-    return api::shardFingerprints(spec, jobs, shardCount, noTiming);
 }
 
 } // namespace
@@ -131,9 +113,6 @@ admitCampaign(const std::string &specPath, const std::string &stateDir,
         ShardTask task;
         task.index = i;
         task.fingerprint = fingerprints[static_cast<std::size_t>(i)];
-        if (admission.spec.estimator.sampled())
-            task.mode =
-                estimate::estimatorModeName(admission.spec.estimator.mode);
         state.tasks.push_back(std::move(task));
     }
     fsutil::makeDirs(stateDir);
@@ -172,19 +151,9 @@ reopenCampaign(const std::string &stateDir, std::int32_t maxAttempts)
     const std::vector<std::string> fingerprints =
         api::shardFingerprints(admission.spec, admission.jobs,
                                state.shardCount, state.noTiming);
-    // Derived escalation tasks were queued with the *exact* slice's
-    // fingerprint (their workers run --force-exact).
-    std::vector<std::string> exactFingerprints;
-    if (state.escalationCount() > 0)
-        exactFingerprints =
-            exactShardFingerprints(admission.spec, admission.jobs,
-                                   state.shardCount, state.noTiming);
-    for (std::size_t i = 0; i < state.tasks.size(); ++i) {
-        const ShardTask &task = state.tasks[i];
+    for (const ShardTask &task : state.tasks) {
         const std::string &expanded =
-            task.escalated
-                ? exactFingerprints[static_cast<std::size_t>(task.index)]
-                : fingerprints[static_cast<std::size_t>(task.index)];
+            fingerprints[static_cast<std::size_t>(task.index)];
         LSQCA_REQUIRE(
             expanded == task.fingerprint,
             "shard " + std::to_string(task.index) + " of campaign \"" +
@@ -249,7 +218,6 @@ Scheduler::Scheduler(SchedulerOptions options,
     metrics_.counter("service.job_cache.computed");
     metrics_.counter("service.retries");
     metrics_.counter("service.stragglers_killed");
-    metrics_.counter("service.escalations");
     metrics_.counter("service.tasks.done");
     metrics_.counter("service.tasks.failed");
     metrics_.counter("service.bytes_merged");
@@ -258,17 +226,12 @@ Scheduler::Scheduler(SchedulerOptions options,
         .set(static_cast<double>(options_.workers));
 
     shardsDir_ = options_.stateDir + "/shards";
-    // Escalated exact reruns land in a subdirectory: their worker
-    // writes the same BENCH_<campaign>.shard<i>of<N>.json name the
-    // sampled shard already used.
-    exactDir_ = shardsDir_ + "/exact";
     logsDir_ = options_.stateDir + "/logs";
     fsutil::makeDirs(shardsDir_);
 
     // Job-granularity fingerprints (docs/SERVICE.md): computed once
     // per drive, shared by the cache pass (splice prediction) and the
-    // reap path (job_computed events). Escalated tasks address the
-    // exact-estimator variants, lazily since most campaigns have none.
+    // reap path (job_computed events).
     if (cache_.enabled())
         jobPrints_ =
             api::jobFingerprints(spec_, jobs_, state_.noTiming);
@@ -277,32 +240,6 @@ Scheduler::Scheduler(SchedulerOptions options,
 Scheduler::~Scheduler()
 {
     killWorkers();
-}
-
-const std::string &
-Scheduler::taskDir(const ShardTask &task) const
-{
-    return task.escalated ? exactDir_ : shardsDir_;
-}
-
-std::string
-Scheduler::taskOutput(const ShardTask &task,
-                      const std::string &name) const
-{
-    return (task.escalated ? "shards/exact/" : "shards/") + name;
-}
-
-const std::vector<std::string> &
-Scheduler::exactPrints()
-{
-    if (exactJobPrints_.empty() && !jobs_.empty()) {
-        std::vector<api::ExpandedJob> exactJobs = jobs_;
-        for (api::ExpandedJob &job : exactJobs)
-            job.options.estimator = estimate::EstimatorOptions{};
-        exactJobPrints_ =
-            api::jobFingerprints(spec_, exactJobs, state_.noTiming);
-    }
-    return exactJobPrints_;
 }
 
 void
@@ -334,22 +271,18 @@ Scheduler::cachePass()
             continue;
         const std::string name =
             shardFileName(state_.campaign, task.index, state_.shardCount);
-        if (task.escalated)
-            fsutil::makeDirs(exactDir_);
-        const std::string outPath = taskDir(task) + "/" + name;
+        const std::string outPath = shardsDir_ + "/" + name;
         const auto markCached = [&](const char *level,
                                     std::int64_t splicedJobs) {
             task.status = TaskStatus::Done;
             task.cached = true;
             task.wallSeconds = 0.0;
-            task.output = taskOutput(task, name);
+            task.output = "shards/" + name;
             task.lastError = "";
             ++report_.cacheHits;
             metrics_.counter("service.cache.hits").add();
             Json fields = Json::object();
             fields.set("shard", task.index);
-            if (task.escalated)
-                fields.set("escalated", true);
             fields.set("fingerprint", task.fingerprint);
             if (splicedJobs > 0) {
                 fields.set("level", level);
@@ -373,13 +306,11 @@ Scheduler::cachePass()
         range.index = task.index;
         range.count = state_.shardCount;
         const auto [begin, end] = range.bounds(jobs_.size());
-        const std::vector<std::string> &prints =
-            task.escalated ? exactPrints() : jobPrints_;
         Json entries = Json::array();
         bool v2 = spec_.recordBreakdown;
         std::vector<std::size_t> stale;
         for (std::size_t j = begin; j < end; ++j) {
-            Json entry = cache_.fetchJob(prints[j]);
+            Json entry = cache_.fetchJob(jobPrints_[j]);
             if (entry.isNull()) {
                 stale.push_back(j);
                 continue;
@@ -388,10 +319,8 @@ Scheduler::cachePass()
             metrics_.counter("service.job_cache.hits").add();
             Json fields = Json::object();
             fields.set("shard", task.index);
-            if (task.escalated)
-                fields.set("escalated", true);
             fields.set("job", static_cast<std::int64_t>(j));
-            fields.set("fingerprint", prints[j]);
+            fields.set("fingerprint", jobPrints_[j]);
             journal_.record("job_cache_hit", fields);
             v2 = v2 || entry.contains("breakdown");
             entries.push(std::move(entry));
@@ -484,8 +413,6 @@ Scheduler::dispatchOne()
         task.status = TaskStatus::Running;
         saveQueue();
 
-        if (task.escalated)
-            fsutil::makeDirs(exactDir_);
         proc::Command command;
         command.argv = {options_.workerExe,
                         "run",
@@ -496,9 +423,7 @@ Scheduler::dispatchOne()
                         "--threads",
                         std::to_string(options_.threadsPerWorker),
                         "--out",
-                        taskDir(task)};
-        if (task.escalated)
-            command.argv.push_back("--force-exact");
+                        shardsDir_};
         if (cache_.enabled()) {
             // The worker splices cached entries itself and simulates
             // only the stale jobs (runSpec's job-cache seam) — the
@@ -540,8 +465,6 @@ Scheduler::dispatchOne()
         fields.set("shard", task.index);
         fields.set("attempt", task.attempts);
         fields.set("worker", worker.slot);
-        if (task.escalated)
-            fields.set("escalated", true);
         if (!journal_.logical())
             fields.set("pid", worker.pid);
         journal_.record("spawn", fields);
@@ -611,7 +534,7 @@ Scheduler::pollWorkers()
 
         const std::string name =
             shardFileName(state_.campaign, task.index, state_.shardCount);
-        const std::string outPath = taskDir(task) + "/" + name;
+        const std::string outPath = shardsDir_ + "/" + name;
         {
             Json fields = Json::object();
             fields.set("shard", task.index);
@@ -631,7 +554,7 @@ Scheduler::pollWorkers()
             task.status = TaskStatus::Done;
             task.cached = false;
             task.wallSeconds = elapsed;
-            task.output = taskOutput(task, name);
+            task.output = "shards/" + name;
             task.lastError = "";
             doneWalls_.push_back(elapsed);
             cache_.store(task.fingerprint, outPath);
@@ -643,25 +566,19 @@ Scheduler::pollWorkers()
             // entries under these fingerprints).
             const auto staleIt = staleByTask_.find(worker.task);
             if (staleIt != staleByTask_.end()) {
-                const std::vector<std::string> &prints =
-                    task.escalated ? exactPrints() : jobPrints_;
                 for (const std::size_t j : staleIt->second) {
                     ++report_.jobsComputed;
                     metrics_.counter("service.job_cache.computed").add();
                     Json computed = Json::object();
                     computed.set("shard", task.index);
-                    if (task.escalated)
-                        computed.set("escalated", true);
                     computed.set("job", static_cast<std::int64_t>(j));
-                    computed.set("fingerprint", prints[j]);
+                    computed.set("fingerprint", jobPrints_[j]);
                     journal_.record("job_computed", computed);
                 }
                 staleByTask_.erase(staleIt);
             }
             Json fields = Json::object();
             fields.set("shard", task.index);
-            if (task.escalated)
-                fields.set("escalated", true);
             fields.set("output", task.output);
             journal_.record("task_done", fields);
         } else if (status.ok()) {
@@ -684,65 +601,6 @@ Scheduler::pollWorkers()
         running_.erase(running_.begin() +
                        static_cast<std::ptrdiff_t>(w));
     }
-}
-
-bool
-Scheduler::maybeEscalate()
-{
-    // CI escalation (docs/SAMPLING.md): with the queue drained, each
-    // sampled base shard's BENCH output is inspected; any entry whose
-    // sampling_error breaches the spec's target_ci queues a derived
-    // exact rerun of the slice. Returns true when new tasks were
-    // appended, restarting the drain.
-    if (!state_.allDone())
-        return false;
-    if (!spec_.estimator.sampled() || spec_.estimator.targetCi <= 0.0)
-        return false;
-    struct Breach
-    {
-        std::int32_t shard;
-        std::string entry;
-        double ci;
-    };
-    std::vector<Breach> breached;
-    for (std::int32_t i = 0; i < state_.shardCount; ++i) {
-        const ShardTask &task = state_.tasks[static_cast<std::size_t>(i)];
-        if (state_.escalationFor(i) != nullptr)
-            continue;
-        const Json doc =
-            Json::load(options_.stateDir + "/" + task.output);
-        for (const Json &entry : doc.at("entries").items()) {
-            const Json *error =
-                entry.at("metrics").find("sampling_error");
-            if (error != nullptr &&
-                error->asDouble() > spec_.estimator.targetCi) {
-                breached.push_back(
-                    {i, entry.at("name").asString(), error->asDouble()});
-                break;
-            }
-        }
-    }
-    if (breached.empty())
-        return false;
-    const std::vector<std::string> exact = exactShardFingerprints(
-        spec_, jobs_, state_.shardCount, state_.noTiming);
-    for (const Breach &breach : breached) {
-        ShardTask task;
-        task.index = breach.shard;
-        task.fingerprint = exact[static_cast<std::size_t>(breach.shard)];
-        task.escalated = true;
-        state_.tasks.push_back(std::move(task));
-        ++report_.escalations;
-        metrics_.counter("service.escalations").add();
-        Json fields = Json::object();
-        fields.set("shard", breach.shard);
-        fields.set("entry", breach.entry);
-        fields.set("ci", breach.ci);
-        fields.set("target_ci", spec_.estimator.targetCi);
-        journal_.record("escalation", fields);
-    }
-    saveQueue();
-    return true;
 }
 
 void
@@ -778,14 +636,8 @@ Scheduler::finish(bool interrupted)
         std::vector<Json> docs;
         std::vector<std::string> labels;
         docs.reserve(static_cast<std::size_t>(state_.shardCount));
-        for (std::int32_t i = 0; i < state_.shardCount; ++i) {
-            // An escalated shard merges its exact rerun; the sampled
-            // document stays on disk beside it for inspection.
-            const ShardTask *chosen = state_.escalationFor(i);
-            if (chosen == nullptr)
-                chosen = &state_.tasks[static_cast<std::size_t>(i)];
-            const std::string path =
-                options_.stateDir + "/" + chosen->output;
+        for (const ShardTask &task : state_.tasks) {
+            const std::string path = options_.stateDir + "/" + task.output;
             docs.push_back(Json::load(path));
             labels.push_back(path);
         }
@@ -821,7 +673,6 @@ Scheduler::finish(bool interrupted)
     fields.set("cache_hits", report_.cacheHits);
     fields.set("retries", report_.retries);
     fields.set("stragglers_killed", report_.stragglersKilled);
-    fields.set("escalations", report_.escalations);
     fields.set("job_cache_hits", report_.jobCacheHits);
     fields.set("jobs_computed", report_.jobsComputed);
     journal_.record("done", fields);

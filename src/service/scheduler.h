@@ -16,12 +16,10 @@
  *         dispatchOne();           // spawn one pending shard
  *         pollWorkers();           // reap exits, kill stragglers
  *     }
- *     if (maybeEscalate())         // sampled CI breaches -> exact
- *         ... drain again ...
  *     finish(false);               // merge + `done` event + metrics
  *
  * Policy (retry funnel, straggler deadlines, layered shard/job cache,
- * CI escalation, byte-identical merge) is unchanged from the
+ * byte-identical merge) is unchanged from the
  * pre-extraction Orchestrator and stays pinned by tests/service: the
  * one-shot path must journal, count, and merge byte-for-byte exactly
  * as before. docs/SERVICE.md describes the policy; docs/DAEMON.md
@@ -57,8 +55,6 @@ struct CampaignReport
     /** Crash/timeout/straggler attempts that were re-queued. */
     std::int32_t retries = 0;
     std::int32_t stragglersKilled = 0;
-    /** Derived exact reruns queued by CI escalation this call. */
-    std::int32_t escalations = 0;
     /**
      * Jobs served from the job-granularity cache at queue time (both
      * fully assembled shards and partial splices a worker completed).
@@ -197,13 +193,6 @@ class Scheduler
     /** Reap finished workers; kill stragglers past their deadline. */
     void pollWorkers();
 
-    /**
-     * With the queue drained: inspect sampled shards for target_ci
-     * breaches and queue derived exact reruns. True when new tasks
-     * were added (run cachePass() and keep dispatching).
-     */
-    bool maybeEscalate();
-
     /** SIGKILL and reap every live worker; their tasks stay marked
      *  running in the saved queue (a resume leg re-queues them). */
     void killWorkers();
@@ -244,10 +233,6 @@ class Scheduler
         std::int32_t slot = 0;
     };
 
-    const std::string &taskDir(const ShardTask &task) const;
-    std::string taskOutput(const ShardTask &task,
-                           const std::string &name) const;
-    const std::vector<std::string> &exactPrints();
     void fail(ShardTask &task, const std::string &reason,
               const std::string &cause);
     void reapWorker(const RunningWorker &worker);
@@ -263,12 +248,10 @@ class Scheduler
     CampaignReport report_;
 
     std::string shardsDir_;
-    std::string exactDir_;
     std::string logsDir_;
     ResultCache cache_;
 
     std::vector<std::string> jobPrints_;
-    std::vector<std::string> exactJobPrints_;
     /** Stale job indices the cache pass predicted per task slot. */
     std::map<std::size_t, std::vector<std::size_t>> staleByTask_;
 

@@ -83,36 +83,6 @@ struct SimResult
      */
     std::vector<OpcodeSplit> breakdown;
 
-    // ---- sampled-estimator statistics (docs/SAMPLING.md) ------------
-
-    /**
-     * True iff this result is a sampling estimate rather than an
-     * exact measurement. A sampled run that ends up covering every
-     * instruction in measured units (period=1, or a program shorter
-     * than one period) produces the exact result and leaves this
-     * false — its BENCH entry stays byte-identical to exact mode.
-     */
-    bool estimated = false;
-
-    /** Measured sampling units (0 for exact runs). */
-    std::int64_t sampledUnits = 0;
-
-    /** Instructions simulated in detail (warm-up + measured). */
-    std::int64_t detailedInstructions = 0;
-
-    /** Instructions fast-forwarded functionally (or tail-skipped). */
-    std::int64_t ffInstructions = 0;
-
-    /**
-     * 95% confidence half-width on cpi from the per-unit sample
-     * variance (Student-t below 31 units). 1x cpi when fewer than 2
-     * usable units were measured (degenerate; triggers escalation).
-     */
-    double cpiCi95 = 0.0;
-
-    /** Relative CI: cpiCi95 / cpi (0 when cpi is 0). */
-    double samplingError = 0.0;
-
     double
     density() const
     {

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "estimate/sampled.h"
 #include "sim/collectors/stall_attribution.h"
 #include "sim/collectors/trace_collector.h"
 #include "sim/machine.h"
@@ -57,16 +56,6 @@ simulate(const Program &program, const SimOptions &options)
     for (const SimObserver *observer : options.observers)
         LSQCA_REQUIRE(observer != nullptr,
                       "SimOptions::observers must not contain nullptr");
-    if (options.estimator.sampled()) {
-        options.estimator.validate();
-        LSQCA_REQUIRE(options.observers.empty() &&
-                          !options.recordTrace &&
-                          !options.recordBreakdown,
-                      "sampled estimation is incompatible with "
-                      "observers, recordTrace, and recordBreakdown "
-                      "(detailed coverage is partial)");
-        return estimate::simulateSampled(program, options);
-    }
     if (!options.recordTrace && !options.recordBreakdown) {
         if (options.observers.empty())
             return dispatch(program, options, options.observers);

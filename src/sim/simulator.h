@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "arch/config.h"
-#include "estimate/options.h"
 #include "isa/program.h"
 #include "sim/observer.h"
 #include "sim/result.h"
@@ -62,15 +61,6 @@ struct SimOptions
      * order regardless of sweep worker count.
      */
     std::vector<SimObserver *> observers;
-
-    /**
-     * Estimation strategy (docs/SAMPLING.md). Exact by default;
-     * sampled mode runs the SMARTS-style systematic-sampling
-     * estimator (src/estimate/) and is incompatible with observers,
-     * recordTrace, and recordBreakdown. Serialized as the
-     * `"estimator"` block (omitted entirely when exact).
-     */
-    estimate::EstimatorOptions estimator;
 };
 
 /**

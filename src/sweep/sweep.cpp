@@ -172,15 +172,6 @@ benchEntry(const std::string &name, const SimResult &r, double jobSeconds)
     metrics.set("magic_stall_beats", r.magicStallBeats);
     metrics.set("density", r.density());
     metrics.set("wall_seconds", jobSeconds);
-    // Sampled-estimator statistics, only on entries that really
-    // are estimates: a sampled run that degenerated to full
-    // coverage (period=1, short program) stays byte-identical to
-    // exact output. docs/SAMPLING.md documents the keys.
-    if (r.estimated) {
-        metrics.set("cpi_ci95", r.cpiCi95);
-        metrics.set("sampling_error", r.samplingError);
-        metrics.set("sampled_units", r.sampledUnits);
-    }
     Json entry = Json::object();
     entry.set("name", name);
     entry.set("metrics", std::move(metrics));

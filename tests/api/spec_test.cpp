@@ -145,9 +145,6 @@ TEST(SweepSpec, CheckedInSpecFilesMatchTheBuilders)
     const Pinned files[] = {
         {"fig13", LSQCA_SOURCE_DIR "/specs/fig13.json", "fig13_cpi"},
         {"smoke", LSQCA_SOURCE_DIR "/specs/smoke.json", "smoke"},
-        {"fig14_sampled",
-         LSQCA_SOURCE_DIR "/specs/fig14_sampled.json",
-         "fig14_sampled"},
     };
     for (const auto &[builder, path, specName] : files) {
         const SweepSpec fromFile = SweepSpec::load(path);
@@ -170,17 +167,10 @@ TEST(SweepSpec, RejectsMalformedSpecs)
     auto parse = [](const char *text) {
         return SweepSpec::fromJson(Json::parse(text));
     };
-    // Wrong/missing schema (v2 is valid: it adds the estimator block,
-    // see SweepSpec.EstimatorSchema).
+    // Wrong/missing schema.
     EXPECT_THROW(parse(R"({"name": "x", "axes": []})"), ConfigError);
     EXPECT_THROW(
         parse(R"({"schema": "lsqca-spec-v3", "name": "x",
-                  "axes": [{"axis": "a", "values": [1]}]})"),
-        ConfigError);
-    // The estimator block is v2-only.
-    EXPECT_THROW(
-        parse(R"({"schema": "lsqca-spec-v1", "name": "x",
-                  "estimator": {"mode": "sampled"},
                   "axes": [{"axis": "a", "values": [1]}]})"),
         ConfigError);
     // Unknown top-level key.
@@ -217,81 +207,46 @@ TEST(SweepSpec, RejectsMalformedSpecs)
     EXPECT_THROW(expandSpec(badMachine, registry), ConfigError);
 }
 
-TEST(SweepSpec, EstimatorSchema)
+/** The ConfigError message @p parse throws (fails when none). */
+template <typename Fn>
+std::string
+configErrorOf(Fn parse)
 {
-    // The v2 estimator block (docs/SAMPLING.md): parsed strictly,
-    // applied to every expanded job, round-tripped byte for byte.
-    const SweepSpec spec = SweepSpec::fromJson(Json::parse(R"({
-      "schema": "lsqca-spec-v2",
-      "name": "sampled_toy",
-      "name_template": "{benchmark}/{machine}",
-      "estimator": {"mode": "sampled", "unit_instrs": 200,
-                    "warmup_instrs": 150, "period": 40,
-                    "target_ci": 0.1},
-      "axes": [
-        {"axis": "benchmark", "values": [
-          {"bench": "ghz", "params": {"num_qubits": 8}}]},
-        {"axis": "machine", "values": [
-          {"arch": {"sam": "point", "banks": 1}}]}
-      ]
-    })"));
-    EXPECT_TRUE(spec.estimator.sampled());
-    EXPECT_EQ(spec.estimator.unitInstrs, 200);
-    EXPECT_EQ(spec.estimator.warmupInstrs, 150);
-    EXPECT_EQ(spec.estimator.period, 40);
-    EXPECT_DOUBLE_EQ(spec.estimator.targetCi, 0.1);
-
-    // Round trip keeps the v2 schema and the block itself.
-    const Json dumped = spec.toJson();
-    EXPECT_EQ(dumped.at("schema").asString(), "lsqca-spec-v2");
-    const SweepSpec back = SweepSpec::fromJson(dumped);
-    EXPECT_EQ(back.toJson().dump(), dumped.dump());
-    EXPECT_EQ(back.estimator, spec.estimator);
-
-    // Every expanded job inherits the estimator.
-    const BenchmarkRegistry registry = BenchmarkRegistry::paper();
-    const auto jobs = expandSpec(spec, registry);
-    ASSERT_EQ(jobs.size(), 1u);
-    EXPECT_EQ(jobs[0].options.estimator, spec.estimator);
-
-    // Malformed estimator blocks are rejected, not defaulted.
-    auto parse = [](const char *text) {
-        return SweepSpec::fromJson(Json::parse(text));
-    };
-    EXPECT_THROW(
-        parse(R"({"schema": "lsqca-spec-v2", "name": "x",
-                  "estimator": {"mode": "sampled", "period": 0},
-                  "axes": [{"axis": "a", "values": [1]}]})"),
-        ConfigError);
-    EXPECT_THROW(
-        parse(R"({"schema": "lsqca-spec-v2", "name": "x",
-                  "estimator": {"mode": "sampled", "unitt_instrs": 5},
-                  "axes": [{"axis": "a", "values": [1]}]})"),
-        ConfigError);
+    try {
+        parse();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected ConfigError";
+    return "";
 }
 
-TEST(SweepSpec, EstimatorOptionsSerializeRoundTrip)
+TEST(SweepSpec, RejectsRetiredEstimatorDocuments)
 {
-    estimate::EstimatorOptions est;
-    est.mode = estimate::EstimatorMode::Sampled;
-    est.unitInstrs = 123;
-    est.warmupInstrs = 45;
-    est.period = 6;
-    est.targetCi = 0.07;
-    EXPECT_EQ(estimatorOptionsFromJson(toJson(est)), est);
+    // There is one exact simulation path. Documents written for the
+    // retired sampled estimator fail loudly, naming the key, instead
+    // of silently running exact.
+    const std::string v2 = configErrorOf([] {
+        SweepSpec::fromJson(Json::parse(
+            R"({"schema": "lsqca-spec-v2", "name": "x",
+                "axes": [{"axis": "a", "values": [1]}]})"));
+    });
+    EXPECT_NE(v2.find("spec.schema"), std::string::npos) << v2;
+    EXPECT_NE(v2.find("lsqca-spec-v1"), std::string::npos) << v2;
 
-    // Exact-mode SimOptions serialize with no estimator key at all —
-    // the pre-estimator document shape, byte for byte.
-    SimOptions exact;
-    EXPECT_EQ(toJson(exact).find("estimator"), nullptr);
-    SimOptions sampled;
-    sampled.estimator = est;
-    const Json doc = toJson(sampled);
-    ASSERT_NE(doc.find("estimator"), nullptr);
-    const SimOptions backOptions = simOptionsFromJson(doc);
-    EXPECT_EQ(backOptions.estimator, est);
-    EXPECT_EQ(toJson(simOptionsFromJson(toJson(exact))).dump(),
-              toJson(exact).dump());
+    const std::string block = configErrorOf([] {
+        SweepSpec::fromJson(Json::parse(
+            R"({"schema": "lsqca-spec-v1", "name": "x",
+                "estimator": {"mode": "sampled"},
+                "axes": [{"axis": "a", "values": [1]}]})"));
+    });
+    EXPECT_NE(block.find("\"estimator\""), std::string::npos) << block;
+
+    Json options = toJson(SimOptions{});
+    options.set("estimator", Json::object().set("mode", "exact"));
+    const std::string sim =
+        configErrorOf([&] { simOptionsFromJson(options); });
+    EXPECT_NE(sim.find("\"estimator\""), std::string::npos) << sim;
 }
 
 TEST(ShardRange, ParsesAndValidates)

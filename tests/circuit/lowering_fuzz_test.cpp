@@ -157,9 +157,13 @@ TEST_P(LoweringFuzz, LoweredOutputIsAlwaysCliffordT)
 {
     const Circuit macro = randomMacroCircuit(GetParam(), 80);
     for (ToffoliStyle style :
-         {ToffoliStyle::Textbook7T, ToffoliStyle::TemporaryAnd4T})
-        for (const auto &g : lowerToCliffordT(macro, style).gates())
+         {ToffoliStyle::Textbook7T, ToffoliStyle::TemporaryAnd4T}) {
+        // Bound to a local: a range-for over a temporary's gates()
+        // would iterate a destroyed Circuit.
+        const Circuit lowered = lowerToCliffordT(macro, style);
+        for (const auto &g : lowered.gates())
             ASSERT_TRUE(isCliffordTGate(g.kind)) << gateName(g.kind);
+    }
 }
 
 TEST_P(LoweringFuzz, MeasurementRandomnessDoesNotLeak)

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/error.h"
@@ -123,14 +124,15 @@ TEST(Socket, OverflowIsStickyPastTheLineGuard)
     const std::string dir = scratchDir("overflow");
     Pair pair(dir + "/s.sock");
 
-    // A writer pushing one endless unterminated line; raw write(2)
+    // A writer pushing one endless unterminated line; raw send(2)
     // because sendLine would add the newline that makes it legal.
+    // MSG_NOSIGNAL: the server end is shut down under it below.
     std::thread writer([&] {
         const std::string chunk(64 * 1024, 'x');
         std::size_t written = 0;
         while (written <= kMaxLineBytes + chunk.size()) {
-            const ssize_t n =
-                ::write(pair.client, chunk.data(), chunk.size());
+            const ssize_t n = ::send(pair.client, chunk.data(),
+                                     chunk.size(), MSG_NOSIGNAL);
             if (n <= 0)
                 break;
             written += static_cast<std::size_t>(n);
@@ -143,6 +145,10 @@ TEST(Socket, OverflowIsStickyPastTheLineGuard)
     std::string line;
     EXPECT_EQ(reader.read(line), LineReader::Status::Overflow);
     EXPECT_EQ(reader.read(line), LineReader::Status::Overflow);
+    // The reader stops draining at Overflow, so the writer may sit
+    // blocked on a full socket buffer: shutting the server end down
+    // fails that send with EPIPE and lets the join finish.
+    ::shutdown(pair.server, SHUT_RDWR);
     writer.join();
 }
 

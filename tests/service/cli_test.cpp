@@ -187,47 +187,31 @@ TEST(Cli, SubmitStatusResumeRoundTrip)
               fsutil::readFile(dir + "/direct/BENCH_smoke.json"));
 }
 
-TEST(Cli, StatusShowsEstimatorModeAndEscalations)
+TEST(Cli, SubmitRefusesARetiredSampledSpec)
 {
-    const std::string dir = test::scratchDir("sampledstatus");
-    // A sampled campaign whose target_ci nothing meets: both shards
-    // run sampled, then escalate to exact reruns (docs/SAMPLING.md).
+    const std::string dir = test::scratchDir("sampledspec");
+    // A spec written for the retired sampled estimator fails before
+    // any campaign state exists; it is never silently run exact.
     const std::string spec = dir + "/sampled.json";
     fsutil::writeFileAtomic(spec, R"({
-  "schema": "lsqca-spec-v2",
-  "name": "escalate_cli",
-  "name_template": "{benchmark}/{machine}",
-  "estimator": {"mode": "sampled", "unit_instrs": 50,
-                "warmup_instrs": 50, "period": 10,
-                "target_ci": 0.0001},
+  "schema": "lsqca-spec-v1",
+  "name": "sampled_cli",
+  "estimator": {"mode": "sampled", "target_ci": 0.1},
   "axes": [
     {"axis": "benchmark", "values": [
-      {"name": "adder", "bench": "adder", "params": {"width": 24}}]},
+      {"bench": "adder", "params": {"width": 8}}]},
     {"axis": "machine", "values": [
-      {"name": "point#1", "arch": {"sam": "point", "banks": 1}},
-      {"name": "line#2", "arch": {"sam": "line", "banks": 2}}]}
+      {"arch": {"sam": "point", "banks": 1}}]}
   ]
 })");
     const CliResult submitted =
-        runCli({"submit", spec, "--workers", "2", "--shards", "2",
-                "--no-timing", "--state", dir + "/state"},
+        runCli({"submit", spec, "--workers", "1", "--no-timing",
+                "--state", dir + "/state"},
                dir + "/submitlog");
-    EXPECT_EQ(submitted.exitCode, 0);
-    EXPECT_NE(submitted.output.find("2 escalated"), std::string::npos)
+    EXPECT_NE(submitted.exitCode, 0);
+    EXPECT_NE(submitted.output.find("\"estimator\""), std::string::npos)
         << submitted.output;
-
-    // Status renders the per-task estimator mode column and counts
-    // the derived escalation tasks.
-    const CliResult status =
-        runCli({"status", dir + "/state"}, dir + "/statuslog");
-    EXPECT_EQ(status.exitCode, 0);
-    EXPECT_NE(status.output.find("sampled"), std::string::npos)
-        << status.output;
-    EXPECT_NE(status.output.find("exact (escalated)"),
-              std::string::npos)
-        << status.output;
-    EXPECT_NE(status.output.find("2 escalated"), std::string::npos)
-        << status.output;
+    EXPECT_FALSE(fsutil::exists(dir + "/state/queue.json"));
 }
 
 TEST(Cli, ReportReconstructsAnInterruptedCampaignFromTheJournal)

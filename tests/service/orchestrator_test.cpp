@@ -370,78 +370,6 @@ TEST(Orchestrator, NoJournalLeavesNoEventsFileAndMatchesGolden)
     EXPECT_EQ(fsutil::readFile(report.mergedPath), golden);
 }
 
-/**
- * Spec pair for the escalation test: the same two long-running jobs
- * (8-bit adder on point#1 and line#2 — both produce estimated
- * entries with nonzero sampling_error), once under a sampled
- * estimator whose target_ci nothing can meet, once exact.
- */
-std::string
-escalationSpec(const std::string &path, bool sampled)
-{
-    std::string doc = R"({
-  "schema": ")";
-    doc += sampled ? "lsqca-spec-v2" : "lsqca-spec-v1";
-    doc += R"(",
-  "name": "escalate",
-  "name_template": "{benchmark}/{machine}",
-)";
-    if (sampled)
-        doc += R"(  "estimator": {"mode": "sampled", "unit_instrs": 50,
-                "warmup_instrs": 50, "period": 10,
-                "target_ci": 0.0001},
-)";
-    doc += R"(  "axes": [
-    {"axis": "benchmark", "values": [
-      {"name": "adder", "bench": "adder", "params": {"width": 24}}]},
-    {"axis": "machine", "values": [
-      {"name": "point#1", "arch": {"sam": "point", "banks": 1}},
-      {"name": "line#2", "arch": {"sam": "line", "banks": 2}}]}
-  ]
-})";
-    fsutil::writeFileAtomic(path, doc);
-    return path;
-}
-
-TEST(Orchestrator, SampledShardsEscalateToExactAndMergeGolden)
-{
-    const std::string dir = test::scratchDir("escalate");
-    const std::string sampledSpec =
-        escalationSpec(dir + "/sampled.json", true);
-    const std::string exactSpec =
-        escalationSpec(dir + "/exact.json", false);
-    // The contract: with every shard escalated, the merged campaign
-    // artifact is byte-identical to an exact run of the same sweep.
-    const std::string golden = goldenRun(exactSpec, dir + "/golden");
-
-    OrchestratorOptions options = baseOptions(dir + "/state");
-    options.shards = 2;
-    const CampaignReport report =
-        Orchestrator(options).submit(sampledSpec);
-
-    EXPECT_TRUE(report.complete);
-    EXPECT_EQ(report.escalations, 2);
-    EXPECT_EQ(report.queue.escalationCount(), 2u);
-    ASSERT_EQ(report.queue.tasks.size(), 4u);
-    for (const ShardTask &task : report.queue.tasks) {
-        EXPECT_EQ(task.status, TaskStatus::Done);
-        if (task.escalated) {
-            // Derived exact reruns: base shard index, forced exact.
-            EXPECT_TRUE(task.mode.empty()) << task.index;
-            EXPECT_NE(report.queue.escalationFor(task.index), nullptr);
-        } else {
-            EXPECT_EQ(task.mode, "sampled") << task.index;
-        }
-    }
-    EXPECT_EQ(fsutil::readFile(report.mergedPath), golden);
-
-    // The escalations survive the on-disk queue (status/resume see
-    // them after an orchestrator restart).
-    const QueueState onDisk = Orchestrator::inspect(dir + "/state");
-    EXPECT_EQ(onDisk.escalationCount(), 2u);
-    EXPECT_EQ(onDisk.toJson().dump(), report.queue.toJson().dump());
-}
-
 TEST(ShardFingerprints, AreStableDistinctAndContentAddressed)
 {
     const SweepSpec spec = SweepSpec::load(test::kSmokeSpec);

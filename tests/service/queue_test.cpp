@@ -123,6 +123,69 @@ TEST(QueueState, ParseIsStrict)
                  ConfigError);
 }
 
+/** The ConfigError message of parsing @p doc (fails when none). */
+std::string
+parseError(const Json &doc)
+{
+    try {
+        QueueState::fromJson(doc);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected ConfigError";
+    return "";
+}
+
+TEST(QueueState, RejectsRetiredEstimatorTaskKeys)
+{
+    // Queue documents from campaigns of the retired sampled estimator
+    // carried a per-task "mode" and appended "escalated" reruns past
+    // shard_count. Both are refused by name, never resumed as exact.
+    const Json good = sampleState().toJson();
+    const auto withTasks = [&](const std::vector<Json> &extra,
+                               const std::string &key, Json value) {
+        Json doc = good;
+        Json tasks = Json::array();
+        for (const Json &task : good.at("tasks").items()) {
+            Json copy = task;
+            if (tasks.size() == 0 && extra.empty())
+                copy.set(key, value);
+            tasks.push(std::move(copy));
+        }
+        for (Json task : extra) {
+            task.set(key, value);
+            tasks.push(std::move(task));
+        }
+        doc.set("tasks", std::move(tasks));
+        return doc;
+    };
+
+    const std::string mode =
+        parseError(withTasks({}, "mode", Json("sampled")));
+    EXPECT_NE(mode.find("\"mode\""), std::string::npos) << mode;
+
+    const Json rerun = good.at("tasks").items().front();
+    const std::string escalated =
+        parseError(withTasks({rerun}, "escalated", Json(true)));
+    EXPECT_NE(escalated.find("\"escalated\""), std::string::npos)
+        << escalated;
+
+    // Without the retired key, a task past shard_count is still
+    // refused: exactly one task per shard, in index order.
+    Json extra = good;
+    Json tasks = good.at("tasks");
+    tasks.push(rerun);
+    extra.set("tasks", std::move(tasks));
+    const std::string order = parseError(extra);
+    EXPECT_NE(order.find("ordered by shard index"), std::string::npos)
+        << order;
+    Json missing = good;
+    missing.set("shard_count", 4);
+    const std::string count = parseError(missing);
+    EXPECT_NE(count.find("exactly one task per shard"), std::string::npos)
+        << count;
+}
+
 TEST(QueueState, TaskStatusNamesRoundTrip)
 {
     for (const TaskStatus status :

@@ -30,8 +30,10 @@ parseEvents(const std::vector<std::string> &lines)
 
 /**
  * A logical-clock campaign: shard 0 crashes once then succeeds, shard
- * 1 is a cache hit, one escalation, then merge + done. Mirrors what
- * the orchestrator writes (docs/METRICS.md).
+ * 1 is a cache hit, then merge + done. Mirrors what the orchestrator
+ * writes (docs/METRICS.md), plus an `escalation` event of the kind
+ * journals from the retired sampled estimator carry: readers tolerate
+ * it as an unknown kind.
  */
 std::vector<Json>
 smokeEvents()
@@ -92,12 +94,34 @@ TEST(CampaignStats, FoldsCountersSpansAndCauses)
     EXPECT_EQ(stats.spans[1].outcome, "done");
     EXPECT_DOUBLE_EQ(stats.busySeconds(1), 2.0);
     EXPECT_EQ(stats.workers(), std::vector<std::int32_t>{1});
+    EXPECT_EQ(stats.events, 12);
+    EXPECT_TRUE(stats.complete);
+}
 
-    ASSERT_EQ(stats.escalations.size(), 1u);
-    EXPECT_EQ(stats.escalations[0].shard, 0);
-    EXPECT_EQ(stats.escalations[0].entry, "adder/point#1");
-    EXPECT_DOUBLE_EQ(stats.escalations[0].ci, 0.5);
-    EXPECT_DOUBLE_EQ(stats.escalations[0].targetCi, 0.1);
+TEST(CampaignStats, FoldsRetiredEscalatedFields)
+{
+    // A journal from the retired sampled estimator: the exact rerun
+    // of shard 0 carried "escalated" on its spawn/exit/task_done. The
+    // fields are ignored; the rerun folds as another attempt.
+    const CampaignStats stats =
+        CampaignStats::fromEvents(parseEvents({
+            R"({"event":"journal","seq":1,"t":1,"schema":"lsqca-events-v1","clock":"logical"})",
+            R"({"event":"submit","seq":2,"t":2,"campaign":"smoke","shards":1,"workers":1,"max_attempts":3})",
+            R"({"event":"spawn","seq":3,"t":3,"shard":0,"attempt":1,"worker":1})",
+            R"({"event":"exit","seq":4,"t":4,"shard":0,"attempt":1,"worker":1,"ok":true})",
+            R"({"event":"task_done","seq":5,"t":5,"shard":0,"output":"shards/BENCH_smoke.json"})",
+            R"({"event":"escalation","seq":6,"t":6,"shard":0,"entry":"adder/point#1","ci":0.5,"target_ci":0.1})",
+            R"({"event":"spawn","seq":7,"t":7,"shard":0,"attempt":1,"worker":1,"escalated":true})",
+            R"({"event":"exit","seq":8,"t":8,"shard":0,"attempt":1,"worker":1,"ok":true,"escalated":true})",
+            R"({"event":"task_done","seq":9,"t":9,"shard":0,"escalated":true,"output":"shards/exact/BENCH_smoke.json"})",
+            R"({"event":"done","seq":10,"t":10,"complete":true,"interrupted":false,"spawned":2,"cache_hits":0,"retries":0,"stragglers_killed":0,"escalations":1})",
+        }));
+    EXPECT_EQ(stats.spawned, 2);
+    EXPECT_EQ(stats.tasksDone, 2);
+    EXPECT_EQ(stats.cacheMisses, 1);
+    ASSERT_EQ(stats.spans.size(), 2u);
+    EXPECT_EQ(stats.spans[1].outcome, "done");
+    EXPECT_TRUE(stats.complete);
 }
 
 TEST(CampaignStats, OrphanSpansCloseAtLegBoundaryAsInterrupted)
@@ -174,7 +198,7 @@ TEST(RenderReport, ShowsTheTablesAndCacheRate)
     EXPECT_NE(text.find("wall-clock breakdown"), std::string::npos);
     EXPECT_NE(text.find("retry causes"), std::string::npos);
     EXPECT_NE(text.find("crash"), std::string::npos);
-    EXPECT_NE(text.find("ci escalations"), std::string::npos);
+    EXPECT_EQ(text.find("escalation"), std::string::npos) << text;
     EXPECT_NE(text.find("worker utilization"), std::string::npos);
     EXPECT_NE(text.find("hit rate 50.0%"), std::string::npos) << text;
     EXPECT_NE(text.find("BENCH_smoke.json (1234 bytes)"),
@@ -217,8 +241,8 @@ TEST(ChromeTrace, EmitsMetadataSpansAndInstants)
         }
     }
     EXPECT_EQ(spans, 2);
-    // cache hit + retry + escalation + merge on the orchestrator track.
-    EXPECT_EQ(instants, 4);
+    // cache hit + retry + merge on the orchestrator track.
+    EXPECT_EQ(instants, 3);
     // process_name + orchestrator + one worker thread.
     EXPECT_EQ(metadata, 3);
 }

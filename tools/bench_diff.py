@@ -15,17 +15,9 @@ a baseline and a candidate run and:
 Timing metrics are those whose key matches --timing-regex
 (default: wall_seconds / ns_per_*). Lower is better for all of them.
 
-Sampled-estimator diagnostics (cpi_ci95 / sampling_error /
-sampled_units, docs/SAMPLING.md) are skipped by default: they describe
-the estimate's confidence, not the simulated machine, and legitimately
-move when estimator internals are tuned. Pass --exact-all to compare
-them as exact metrics too (e.g. when pinning a sampled run bit for
-bit).
-
 Usage:
   tools/bench_diff.py baseline.json candidate.json
   tools/bench_diff.py --threshold 0.05 --exact cpi,exec_beats a.json b.json
-  tools/bench_diff.py --exact cpi --exact-all sampled_a.json sampled_b.json
 """
 
 import argparse
@@ -35,10 +27,6 @@ import sys
 
 
 KNOWN_SCHEMAS = ("lsqca-bench-v1", "lsqca-bench-v2")
-
-# Estimator confidence diagnostics (docs/SAMPLING.md), not machine
-# metrics: ignored unless --exact-all asks for them.
-SAMPLED_KEYS = frozenset({"cpi_ci95", "sampling_error", "sampled_units"})
 
 
 def load_entries(path):
@@ -90,11 +78,6 @@ def main():
         help="comma-separated metrics that must match exactly "
              "(e.g. cpi,exec_beats)")
     parser.add_argument(
-        "--exact-all", action="store_true",
-        help="also compare the sampled-estimator diagnostics "
-             "(cpi_ci95, sampling_error, sampled_units) as exact "
-             "metrics instead of skipping them")
-    parser.add_argument(
         "--min-seconds", type=float, default=1e-4,
         help="skip timing comparisons when both sides are below this "
              "(too noisy to judge)")
@@ -102,8 +85,6 @@ def main():
 
     timing = re.compile(args.timing_regex)
     exact = {m for m in args.exact.split(",") if m}
-    if args.exact_all:
-        exact |= SAMPLED_KEYS
 
     base_doc, base = load_entries(args.baseline)
     cand_doc, cand = load_entries(args.candidate)
@@ -134,8 +115,6 @@ def main():
             b_val, c_val = b_metrics[key], c_metrics[key]
             if not isinstance(b_val, (int, float)) or isinstance(
                     b_val, bool):
-                continue
-            if key in SAMPLED_KEYS and not args.exact_all:
                 continue
             if key in exact:
                 compared += 1

@@ -100,8 +100,6 @@ usage(std::ostream &out, int code)
         "      --timeout-seconds S  abort (exit 124) past this wall"
         " budget\n"
         "      --seed-check HEX  require this shard fingerprint\n"
-        "      --force-exact     ignore the spec's estimator block and\n"
-        "                        run every job exactly (docs/SAMPLING.md)\n"
         "      --job-cache DIR   splice already-computed jobs from (and\n"
         "                        publish new ones to) a job-granularity\n"
         "                        result cache (docs/SERVICE.md)\n"
@@ -116,7 +114,7 @@ usage(std::ostream &out, int code)
         " adds its BENCH_*.json files)\n"
         "      --out FILE        write merged doc (default stdout)\n"
         "  spec <name>         print a builtin spec (fig13|fig14|"
-        "fig14_sampled|fig15|ablation|smoke)\n"
+        "fig15|ablation|smoke)\n"
         "      --full            drop steady-state prefixes\n"
         "  submit <spec.json>  run a spec as a multi-worker campaign\n"
         "      --workers K       concurrent worker processes (default"
@@ -162,8 +160,7 @@ usage(std::ostream &out, int code)
         "  report <state-dir>  reconstruct a campaign's history from its\n"
         "                      events.jsonl journal alone: wall-clock\n"
         "                      breakdown, retry causes, cache hit rate,\n"
-        "                      escalations, worker utilization"
-        " (docs/METRICS.md)\n"
+        "                      worker utilization (docs/METRICS.md)\n"
         "      --chrome-trace FILE  also export a chrome://tracing /\n"
         "                      Perfetto trace (one track per worker,\n"
         "                      one span per shard attempt)\n"
@@ -398,8 +395,6 @@ cmdRun(int argc, char **argv)
         else if (arg == "--seed-check")
             options.seedCheck =
                 parseFingerprintArg(needValue(argc, argv, i));
-        else if (arg == "--force-exact")
-            options.forceExact = true;
         else if (arg == "--job-cache")
             jobCacheDir = needValue(argc, argv, i);
         else if (arg == "--die-after")
@@ -512,8 +507,8 @@ cmdList()
     std::cout << benches.render("registered benchmarks") << "\n";
 
     TextTable builtin({"spec", "jobs", "axes"});
-    for (const char *name : {"fig13", "fig14", "fig14_sampled", "fig15",
-                             "ablation", "smoke"}) {
+    for (const char *name :
+         {"fig13", "fig14", "fig15", "ablation", "smoke"}) {
         const SweepSpec spec = specs::byName(name);
         std::string shape;
         for (const SweepAxis &axis : spec.axes) {
@@ -679,8 +674,7 @@ reportCampaign(const service::CampaignReport &report,
               << queue.tasks.size() << " shards done ("
               << report.cacheHits << " cached, " << report.spawned
               << " spawned, " << report.retries << " retries, "
-              << report.stragglersKilled << " stragglers killed, "
-              << report.escalations << " escalated)";
+              << report.stragglersKilled << " stragglers killed)";
     // Job-granularity cache split, shown only when the job layer took
     // part (keeps pre-job-cache campaign output byte-identical).
     if (report.jobCacheHits + report.jobsComputed > 0)
@@ -1037,21 +1031,15 @@ cmdStatus(int argc, char **argv)
                               1);
     };
 
-    TextTable table({"shard", "mode", "status", "attempts", "cached",
-                     "wall_s", "age_s", "detail"});
+    TextTable table({"shard", "status", "attempts", "cached", "wall_s",
+                     "age_s", "detail"});
     for (const service::ShardTask &task : queue.tasks) {
         const std::string detail = task.lastError.empty()
                                        ? task.output
                                        : task.lastError;
-        // Derived CI-escalation tasks rerun their shard exactly
-        // (docs/SAMPLING.md); base tasks with no recorded mode
-        // predate the estimator and are exact by definition.
-        const std::string mode =
-            task.escalated ? "exact (escalated)"
-                           : (task.mode.empty() ? "exact" : task.mode);
         table.addRow({std::to_string(task.index) + "/" +
                           std::to_string(queue.shardCount),
-                      mode, service::taskStatusName(task.status),
+                      service::taskStatusName(task.status),
                       std::to_string(task.attempts),
                       task.cached ? "yes" : "no",
                       TextTable::num(task.wallSeconds, 3),
@@ -1067,8 +1055,7 @@ cmdStatus(int argc, char **argv)
               << queue.countWithStatus(service::TaskStatus::Done)
               << ", failed "
               << queue.countWithStatus(service::TaskStatus::Failed)
-              << " of " << queue.shardCount << " shards, "
-              << queue.escalationCount() << " escalated\n";
+              << " of " << queue.shardCount << " shards\n";
     // Job-granularity split the last cache pass recorded per task.
     // All-zero (cache off, or pure shard-level traffic) prints
     // nothing, so pre-job-cache campaigns render unchanged.
