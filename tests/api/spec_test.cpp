@@ -249,6 +249,29 @@ TEST(SweepSpec, RejectsRetiredEstimatorDocuments)
     EXPECT_NE(sim.find("\"estimator\""), std::string::npos) << sim;
 }
 
+TEST(SweepSpec, CacheFingerprintsArePinned)
+{
+    // Job and shard fingerprints key the shared result caches. They
+    // hash canonical manifests, so a change to any serialized option
+    // (a key added, dropped or renamed) would silently orphan every
+    // cached entry. These values must only change together with
+    // kEngineEpoch or the bench schema.
+    const SweepSpec spec = toySpec();
+    const auto jobs = expandSpec(spec, BenchmarkRegistry::paper());
+    const std::vector<std::string> jobPrints = {
+        "8728f95902d8a8f5", "c2d5c6cf128b548d", "376802f2f1e99798",
+        "d1497380951b3a08", "bdf3991a1f5e796d", "e984c651c652dcc3",
+        "e21ffab022871d22", "470984711a664810",
+    };
+    EXPECT_EQ(jobFingerprints(spec, jobs, true), jobPrints);
+    const std::vector<std::string> shardPrints = {"1c1bf5c8f6e0f53f",
+                                                  "1609105dbf58f68a"};
+    EXPECT_EQ(shardFingerprints(spec, jobs, 2, true), shardPrints);
+    // Timed runs are a different cache content.
+    EXPECT_EQ(shardFingerprint(spec, jobs, ShardRange{}, false),
+              "3f0aa0d2df58afef");
+}
+
 TEST(ShardRange, ParsesAndValidates)
 {
     const ShardRange shard = ShardRange::parse("2/8");

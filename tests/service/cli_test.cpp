@@ -214,6 +214,36 @@ TEST(Cli, SubmitRefusesARetiredSampledSpec)
     EXPECT_FALSE(fsutil::exists(dir + "/state/queue.json"));
 }
 
+TEST(Cli, RunRefusesTheRetiredForceExactFlag)
+{
+    const std::string dir = test::scratchDir("forceexact");
+    const CliResult run =
+        runCli({"run", test::kSmokeSpec, "--force-exact", "--no-timing",
+                "--out", dir + "/out"},
+               dir + "/log");
+    EXPECT_EQ(run.exitCode, 1);
+    EXPECT_NE(run.output.find("--force-exact"), std::string::npos)
+        << run.output;
+    EXPECT_FALSE(fsutil::exists(dir + "/out"));
+}
+
+TEST(Cli, SpecAndRunRefuseTheRetiredSampledBuiltin)
+{
+    const std::string dir = test::scratchDir("sampledbuiltin");
+    const CliResult spec = runCli({"spec", "fig14_sampled"}, dir + "/log1");
+    EXPECT_EQ(spec.exitCode, 1);
+    EXPECT_NE(spec.output.find("fig14_sampled"), std::string::npos)
+        << spec.output;
+    const CliResult run =
+        runCli({"run", "fig14_sampled", "--no-timing", "--out",
+                dir + "/out"},
+               dir + "/log2");
+    EXPECT_EQ(run.exitCode, 1);
+    EXPECT_NE(run.output.find("fig14_sampled"), std::string::npos)
+        << run.output;
+    EXPECT_FALSE(fsutil::exists(dir + "/out"));
+}
+
 TEST(Cli, ReportReconstructsAnInterruptedCampaignFromTheJournal)
 {
     const std::string dir = test::scratchDir("report");
