@@ -6,14 +6,12 @@
  * The job-granularity cache seam between runSpec and the service
  * layer's content-addressed store.
  *
- * The shard-level cache (service::ResultCache) keys whole BENCH shard
- * documents by slice geometry, so editing one grid point invalidates
- * every shard. The job cache keys the *per-job* BENCH entry by
+ * The result cache keys the *per-job* BENCH entry by
  * api::jobFingerprint — no sweep name, no shard geometry — so a
- * resubmit after adding one grid point recomputes one job and splices
- * the rest. runSpec consumes this interface; src/service/cache.*
- * implements it over the cache directory (the dependency arrow stays
- * service → api).
+ * resubmit after adding one grid point, or under a different shard
+ * partition, recomputes only the new jobs and splices the rest.
+ * runSpec consumes this interface; src/service/cache.* implements it
+ * over the cache directory (the dependency arrow stays service → api).
  *
  * Contract: fetchEntry returns the exact Json entry previously passed
  * to storeEntry for the same fingerprint (or a null Json on a miss).

@@ -549,6 +549,27 @@ jobFingerprints(const SweepSpec &spec, const std::vector<ExpandedJob> &jobs,
     return fingerprints;
 }
 
+Json
+sliceDocument(const SweepSpec &spec, Json entries, const ShardRange &range,
+              std::size_t total, std::int32_t threads, double wallSeconds)
+{
+    bool v2 = spec.recordBreakdown;
+    for (const Json &entry : entries.items())
+        v2 = v2 || entry.contains("breakdown");
+    Json doc = benchDocument(spec.name, std::move(entries), threads,
+                             wallSeconds, v2);
+    if (!range.isWhole()) {
+        Json shard = Json::object();
+        shard.set("index", range.index);
+        shard.set("count", range.count);
+        shard.set("offset",
+                  static_cast<std::int64_t>(range.bounds(total).first));
+        shard.set("total", static_cast<std::int64_t>(total));
+        doc.set("shard", std::move(shard));
+    }
+    return doc;
+}
+
 namespace {
 
 /**
@@ -693,47 +714,27 @@ runSpec(const SweepSpec &spec, BenchmarkRegistry &registry,
     }
     run.report = engine.run(run.jobs);
 
-    SweepReport documented = run.report;
-    if (options.noTiming) {
-        documented.threads = 0;
-        documented.wallSeconds = 0.0;
-        documented.jobSeconds.assign(run.jobs.size(), 0.0);
-    }
-    if (options.jobCache == nullptr) {
-        run.document = benchReport(spec.name, run.jobs, documented,
-                                   spec.recordBreakdown);
-    } else {
-        // Splice cached and computed entries back into slice order.
-        // The Json layer's round-trip guarantee keeps this document
-        // byte-identical to a fresh full simulation of the slice.
-        bool v2 = spec.recordBreakdown;
-        Json entries = Json::array();
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < sliceSize; ++i) {
-            if (!cachedEntries[i].isNull()) {
-                v2 = v2 || cachedEntries[i].contains("breakdown");
-                entries.push(std::move(cachedEntries[i]));
-                continue;
-            }
-            v2 = v2 || !documented.results[k].breakdown.empty();
-            Json entry = benchEntry(run.jobs[k].name, documented.results[k],
-                                    documented.jobSeconds[k]);
-            storeEntry(i, entry);
-            entries.push(std::move(entry));
-            ++k;
+    // Splice cached and computed entries back into slice order. The
+    // Json layer's round-trip guarantee keeps this document
+    // byte-identical to a fresh full simulation of the slice.
+    Json entries = Json::array();
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < sliceSize; ++i) {
+        if (!cachedEntries[i].isNull()) {
+            entries.push(std::move(cachedEntries[i]));
+            continue;
         }
-        run.document =
-            benchDocument(spec.name, std::move(entries), documented.threads,
-                          documented.wallSeconds, v2);
+        Json entry = benchEntry(
+            run.jobs[k].name, run.report.results[k],
+            options.noTiming ? 0.0 : run.report.jobSeconds[k]);
+        storeEntry(i, entry);
+        entries.push(std::move(entry));
+        ++k;
     }
-    if (!options.shard.isWhole()) {
-        Json shard = Json::object();
-        shard.set("index", options.shard.index);
-        shard.set("count", options.shard.count);
-        shard.set("offset", static_cast<std::int64_t>(begin));
-        shard.set("total", static_cast<std::int64_t>(all.size()));
-        run.document.set("shard", std::move(shard));
-    }
+    run.document = sliceDocument(
+        spec, std::move(entries), options.shard, all.size(),
+        options.noTiming ? 0 : run.report.threads,
+        options.noTiming ? 0.0 : run.report.wallSeconds);
 
     if (options.writeJson) {
         std::string fileStem = spec.name;

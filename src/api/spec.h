@@ -219,6 +219,20 @@ jobFingerprints(const SweepSpec &spec, const std::vector<ExpandedJob> &jobs,
 std::vector<ExpandedJob> expandSpec(const SweepSpec &spec,
                                     const BenchmarkRegistry &registry);
 
+/**
+ * The BENCH document of one slice of a @p total-job sweep, built from
+ * its entries in slice order. The schema is lsqca-bench-v2 when the
+ * spec records breakdowns (so an empty shard of a breakdown sweep
+ * still merges with its siblings) or any entry carries a "breakdown";
+ * a slice that is not the whole sweep gets the `shard` marker
+ * mergeBenchReports validates. runSpec and the campaign cache pass
+ * both assemble documents here, so a slice spliced from cached
+ * entries is byte-identical to one a worker simulated.
+ */
+Json sliceDocument(const SweepSpec &spec, Json entries,
+                   const ShardRange &range, std::size_t total,
+                   std::int32_t threads, double wallSeconds);
+
 /** Options for runSpec. */
 struct RunSpecOptions
 {
@@ -270,8 +284,8 @@ struct RunSpecOptions
      * jobFingerprint() before program resolution: hits splice the
      * cached BENCH entry into the document (the job is neither
      * synthesized nor simulated), misses run normally and store their
-     * entry plus provenance afterwards. Null (the default) keeps
-     * runSpec's behaviour — and output bytes — exactly as before.
+     * entry plus provenance afterwards. The output bytes are the same
+     * with or without a cache; null (the default) simulates every job.
      */
     JobCacheClient *jobCache = nullptr;
 };

@@ -148,12 +148,6 @@ atomicWriteStats()
 }
 
 void
-copyFileAtomic(const std::string &src, const std::string &dst)
-{
-    writeFileAtomic(dst, readFile(src));
-}
-
-void
 removeFile(const std::string &path)
 {
     std::error_code ec;

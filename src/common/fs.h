@@ -53,9 +53,6 @@ struct AtomicWriteStats
 
 AtomicWriteStats atomicWriteStats();
 
-/** Byte-exact atomic copy (readFile + writeFileAtomic). */
-void copyFileAtomic(const std::string &src, const std::string &dst);
-
 /** Best-effort unlink; absent files are not an error. */
 void removeFile(const std::string &path);
 

@@ -9,53 +9,11 @@ namespace lsqca::service {
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {}
 
 std::string
-ResultCache::pathFor(const std::string &fingerprint) const
+ResultCache::jobPathFor(const std::string &fingerprint) const
 {
     LSQCA_REQUIRE(enabled(), "result cache is disabled");
     // The fingerprint becomes a file name; insist on the 16-hex shape
     // so a corrupted queue entry can never escape the cache dir.
-    LSQCA_REQUIRE(isFingerprint(fingerprint),
-                  "bad cache fingerprint \"" + fingerprint + "\"");
-    return dir_ + "/" + fingerprint + ".json";
-}
-
-bool
-ResultCache::contains(const std::string &fingerprint) const
-{
-    return enabled() && fsutil::exists(pathFor(fingerprint));
-}
-
-bool
-ResultCache::fetch(const std::string &fingerprint,
-                   const std::string &destPath) const
-{
-    if (!contains(fingerprint))
-        return false;
-    fsutil::copyFileAtomic(pathFor(fingerprint), destPath);
-    return true;
-}
-
-void
-ResultCache::store(const std::string &fingerprint,
-                   const std::string &srcPath) const
-{
-    if (!enabled())
-        return;
-    fsutil::copyFileAtomic(srcPath, pathFor(fingerprint));
-}
-
-std::size_t
-ResultCache::size() const
-{
-    if (!enabled() || !fsutil::isDirectory(dir_))
-        return 0;
-    return fsutil::listFiles(dir_, "", ".json").size();
-}
-
-std::string
-ResultCache::jobPathFor(const std::string &fingerprint) const
-{
-    LSQCA_REQUIRE(enabled(), "result cache is disabled");
     LSQCA_REQUIRE(isFingerprint(fingerprint),
                   "bad cache fingerprint \"" + fingerprint + "\"");
     return dir_ + "/jobs/" + fingerprint + ".json";

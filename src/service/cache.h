@@ -3,27 +3,17 @@
 
 /**
  * @file
- * Content-addressed result cache, at two granularities.
+ * Content-addressed result cache, at job granularity.
  *
- * Shard level (the fast path): every finished shard's BENCH document
- * is stored under `<dir>/<fingerprint>.json`, where the fingerprint is
- * the canonical hash of the shard's content manifest — the job slice's
- * fully canonicalized parameters and options, the shard geometry, and
- * the BENCH schema version (api::shardFingerprint). Two invocations
- * with equal fingerprints are guaranteed to produce byte-identical
- * documents under --no-timing, so fetches are byte-exact copies:
- * re-submitting an overlapping spec skips every shard the cache
- * already holds, and the merged artifact is still bit-for-bit what a
- * direct run would have written.
- *
- * Job level (the incremental layer underneath): each simulated job's
- * BENCH *entry* is stored under `<dir>/jobs/<fingerprint>.json`, keyed
- * by api::jobFingerprint — no sweep name, no shard geometry — wrapped
- * in a `lsqca-jobcache-v1` document that also carries the job's
- * provenance manifest. A spec edit that shifts the shard partition
- * (e.g. one added grid point) invalidates every shard fingerprint but
- * almost no job fingerprints, so a resubmit recomputes exactly the new
- * jobs and splices the rest.
+ * Each simulated job's BENCH *entry* is stored under
+ * `<dir>/jobs/<fingerprint>.json`, keyed by api::jobFingerprint — no
+ * sweep name, no shard geometry — wrapped in a `lsqca-jobcache-v1`
+ * document that also carries the job's provenance manifest. A shard
+ * whose jobs are all cached is assembled from its entries in-process
+ * (api::sliceDocument, byte-identical to a worker's output under
+ * --no-timing); a spec edit that shifts the shard partition (e.g. one
+ * added grid point) changes almost no job fingerprints, so a resubmit
+ * recomputes exactly the new jobs and splices the rest.
  *
  * The cache is shared-safe between concurrent campaigns: stores go
  * through atomic fsync+rename publishes, and any later writer of the
@@ -38,7 +28,7 @@
 
 namespace lsqca::service {
 
-/** File-per-fingerprint BENCH document cache. */
+/** File-per-fingerprint BENCH entry cache. */
 class ResultCache
 {
   public:
@@ -49,30 +39,10 @@ class ResultCache
 
     const std::string &dir() const { return dir_; }
 
-    /** Where @p fingerprint lives/would live. @throws when disabled. */
-    std::string pathFor(const std::string &fingerprint) const;
-
-    bool contains(const std::string &fingerprint) const;
-
     /**
-     * Byte-exact copy of the cached document to @p destPath.
-     * @return false on a miss (or when disabled).
+     * Where job @p fingerprint lives/would live. @throws when disabled
+     * or when @p fingerprint is not 16 lowercase hex digits.
      */
-    bool fetch(const std::string &fingerprint,
-               const std::string &destPath) const;
-
-    /**
-     * Publish @p srcPath under @p fingerprint (atomic; a concurrent
-     * writer of the same key writes identical bytes). No-op when
-     * disabled.
-     */
-    void store(const std::string &fingerprint,
-               const std::string &srcPath) const;
-
-    /** Cached documents currently on disk (0 when disabled). */
-    std::size_t size() const;
-
-    /** Where job @p fingerprint lives/would live. @throws disabled. */
     std::string jobPathFor(const std::string &fingerprint) const;
 
     bool containsJob(const std::string &fingerprint) const;

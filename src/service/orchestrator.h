@@ -8,14 +8,15 @@
  * --shard i/N` worker processes (up to `workers` at a time), and
  * drives the persistent queue (service/queue.h) until every shard is
  * done — re-queuing crashed, timed-out, and straggling workers with
- * an attempt cap, satisfying shards from the content-addressed result
- * cache (service/cache.h) when their fingerprints are already known,
- * and finishing with the same `mergeBenchReports` the CLI's `merge`
- * uses, so the final `BENCH_<campaign>.json` is byte-identical to a
- * direct unsharded `lsqca run` under --no-timing.
+ * an attempt cap, assembling shards in-process from the
+ * content-addressed result cache (service/cache.h) when every job in
+ * their slice is already cached, and finishing with the same
+ * `mergeBenchReports` the CLI's `merge` uses, so the final
+ * `BENCH_<campaign>.json` is byte-identical to a direct unsharded
+ * `lsqca run` under --no-timing.
  *
  * The engine itself — dispatch, retry funnel, straggler policy,
- * layered cache, merge — lives in service/scheduler.h
+ * cache pass, merge — lives in service/scheduler.h
  * and is shared with the multi-tenant daemon (`lsqca serve`,
  * src/daemon/). The Orchestrator contributes what is specific to the
  * one-shot shape: admission from the CLI's flags, the drive loop's
@@ -35,7 +36,8 @@
  *     <state>/metrics.json     registry snapshot of the last drive
  *     <state>/shards/BENCH_*   per-shard worker output
  *     <state>/logs/shard<i>.attempt<a>.log
- *     <state>/cache/<fp>.json  result cache (override via cacheDir)
+ *     <state>/cache/jobs/<fp>.json  result cache (override via
+ *                              cacheDir)
  *     <state>/BENCH_<campaign>.json   merged artifact (see outDir)
  */
 

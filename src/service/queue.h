@@ -71,11 +71,11 @@ struct ShardTask
     /** Last failure, e.g. "signal 9 (straggler)" ("" when none). */
     std::string lastError;
     /**
-     * Job-granularity cache split the last cache pass predicted for
-     * this slice: jobs served from the job cache vs jobs its worker
-     * must simulate (docs/SERVICE.md). Both 0 for shard-level hits
-     * and cache-off campaigns — and omitted from the JSON then, so
-     * older queue documents round-trip byte-identically.
+     * Job cache split the last cache pass predicted for this slice:
+     * jobs served from the job cache vs jobs its worker must simulate
+     * (docs/SERVICE.md). Both 0 for empty slices and cache-off
+     * campaigns — and omitted from the JSON then, so older queue
+     * documents round-trip byte-identically.
      */
     std::int32_t jobsCached = 0;
     std::int32_t jobsComputed = 0;

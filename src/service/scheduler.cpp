@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "common/fs.h"
 #include "common/table.h"
-#include "sweep/sweep.h"
 
 namespace lsqca::service {
 namespace {
@@ -269,45 +268,17 @@ Scheduler::cachePass()
         ShardTask &task = state_.tasks[t];
         if (task.status != TaskStatus::Pending)
             continue;
-        const std::string name =
-            shardFileName(state_.campaign, task.index, state_.shardCount);
-        const std::string outPath = shardsDir_ + "/" + name;
-        const auto markCached = [&](const char *level,
-                                    std::int64_t splicedJobs) {
-            task.status = TaskStatus::Done;
-            task.cached = true;
-            task.wallSeconds = 0.0;
-            task.output = "shards/" + name;
-            task.lastError = "";
-            ++report_.cacheHits;
-            metrics_.counter("service.cache.hits").add();
-            Json fields = Json::object();
-            fields.set("shard", task.index);
-            fields.set("fingerprint", task.fingerprint);
-            if (splicedJobs > 0) {
-                fields.set("level", level);
-                fields.set("jobs", splicedJobs);
-            }
-            journal_.record("cache_hit", fields);
-        };
-        if (cache_.fetch(task.fingerprint, outPath)) {
-            markCached("shard", 0);
-            continue;
-        }
         if (!cache_.enabled()) {
             metrics_.counter("service.cache.misses").add();
             continue;
         }
 
-        // Job-granularity pass: the shard document is gone (the
-        // partition moved, or the spec gained grid points), but
-        // most of its jobs may still be cached individually.
+        // Step 1: look every job of the slice up in the job cache.
         api::ShardRange range;
         range.index = task.index;
         range.count = state_.shardCount;
         const auto [begin, end] = range.bounds(jobs_.size());
         Json entries = Json::array();
-        bool v2 = spec_.recordBreakdown;
         std::vector<std::size_t> stale;
         for (std::size_t j = begin; j < end; ++j) {
             Json entry = cache_.fetchJob(jobPrints_[j]);
@@ -322,38 +293,38 @@ Scheduler::cachePass()
             fields.set("job", static_cast<std::int64_t>(j));
             fields.set("fingerprint", jobPrints_[j]);
             journal_.record("job_cache_hit", fields);
-            v2 = v2 || entry.contains("breakdown");
             entries.push(std::move(entry));
         }
         task.jobsCached =
             static_cast<std::int32_t>(end - begin - stale.size());
         task.jobsComputed = static_cast<std::int32_t>(stale.size());
-        if (!stale.empty() || begin == end) {
+        if (!stale.empty()) {
             staleByTask_[t] = std::move(stale);
             metrics_.counter("service.cache.misses").add();
             continue;
         }
 
-        // Every job in the slice is cached: assemble the shard
-        // document in-process through the same benchDocument the
-        // workers use (byte-identical under --no-timing), warm the
-        // shard-level fast path, and mark the task cached — the
-        // report invariant `tasks_done + cache_hits == shards`
-        // holds whichever cache level satisfied it.
-        Json doc = benchDocument(state_.campaign, std::move(entries), 0,
-                                 0.0, v2);
-        if (state_.shardCount > 1) {
-            Json marker = Json::object();
-            marker.set("index", task.index);
-            marker.set("count", state_.shardCount);
-            marker.set("offset", static_cast<std::int64_t>(begin));
-            marker.set("total",
-                       static_cast<std::int64_t>(jobs_.size()));
-            doc.set("shard", std::move(marker));
-        }
-        doc.write(outPath);
-        cache_.store(task.fingerprint, outPath);
-        markCached("job", static_cast<std::int64_t>(end - begin));
+        // Step 2: no job is stale (an empty slice included), so build
+        // the shard document in-process through the sliceDocument the
+        // workers use (byte-identical under --no-timing) and mark the
+        // task cached without spawning a worker.
+        const std::string name =
+            shardFileName(state_.campaign, task.index, state_.shardCount);
+        api::sliceDocument(spec_, std::move(entries), range, jobs_.size(),
+                           0, 0.0)
+            .write(shardsDir_ + "/" + name);
+        task.status = TaskStatus::Done;
+        task.cached = true;
+        task.wallSeconds = 0.0;
+        task.output = "shards/" + name;
+        task.lastError = "";
+        ++report_.cacheHits;
+        metrics_.counter("service.cache.hits").add();
+        Json fields = Json::object();
+        fields.set("shard", task.index);
+        fields.set("fingerprint", task.fingerprint);
+        fields.set("jobs", static_cast<std::int64_t>(end - begin));
+        journal_.record("cache_hit", fields);
     }
     saveQueue();
 }
@@ -426,8 +397,7 @@ Scheduler::dispatchOne()
                         shardsDir_};
         if (cache_.enabled()) {
             // The worker splices cached entries itself and simulates
-            // only the stale jobs (runSpec's job-cache seam) — the
-            // incremental half of the layered cache.
+            // only the stale jobs (runSpec's job-cache seam).
             command.argv.push_back("--job-cache");
             command.argv.push_back(cache_.dir());
         }
@@ -557,7 +527,6 @@ Scheduler::pollWorkers()
             task.output = "shards/" + name;
             task.lastError = "";
             doneWalls_.push_back(elapsed);
-            cache_.store(task.fingerprint, outPath);
             metrics_.counter("service.tasks.done").add();
             metrics_.histogram("service.shard_wall_seconds")
                 .observe(elapsed);

@@ -11,19 +11,17 @@
  * exposes the orchestrator's former inner loop as separate steps so a
  * caller can interleave several campaigns' steps on its own cadence:
  *
- *     cachePass();                 // satisfy shards from the cache
+ *     cachePass();                 // assemble fully cached shards
  *     while (!drained()) {
  *         dispatchOne();           // spawn one pending shard
  *         pollWorkers();           // reap exits, kill stragglers
  *     }
  *     finish(false);               // merge + `done` event + metrics
  *
- * Policy (retry funnel, straggler deadlines, layered shard/job cache,
- * byte-identical merge) is unchanged from the
- * pre-extraction Orchestrator and stays pinned by tests/service: the
- * one-shot path must journal, count, and merge byte-for-byte exactly
- * as before. docs/SERVICE.md describes the policy; docs/DAEMON.md
- * describes the multi-tenant caller.
+ * Policy (retry funnel, straggler deadlines, job-granularity result
+ * cache, byte-identical merge) is shared by both drivers and pinned
+ * by tests/service. docs/SERVICE.md describes the policy;
+ * docs/DAEMON.md describes the multi-tenant caller.
  */
 
 #include <cstdint>
@@ -56,8 +54,8 @@ struct CampaignReport
     std::int32_t retries = 0;
     std::int32_t stragglersKilled = 0;
     /**
-     * Jobs served from the job-granularity cache at queue time (both
-     * fully assembled shards and partial splices a worker completed).
+     * Jobs served from the result cache at queue time (both fully
+     * assembled shards and partial splices a worker completed).
      */
     std::int64_t jobCacheHits = 0;
     /** Jobs this call's workers actually simulated. */
@@ -175,9 +173,9 @@ class Scheduler
     Scheduler &operator=(const Scheduler &) = delete;
 
     /**
-     * Satisfy pending shards from the layered cache: whole-shard
-     * fingerprint hits first, then in-process assembly of slices
-     * whose jobs are all individually cached. Saves the queue.
+     * Look up every pending shard's jobs in the result cache and
+     * assemble, in-process, each shard none of whose jobs is stale
+     * (empty slices included). Saves the queue.
      */
     void cachePass();
 

@@ -141,28 +141,6 @@ SweepEngine::run(const std::vector<SweepJob> &jobs) const
 }
 
 Json
-benchReport(const std::string &benchName,
-            const std::vector<SweepJob> &jobs, const SweepReport &report,
-            bool breakdownSchema)
-{
-    LSQCA_REQUIRE(jobs.size() == report.results.size(),
-                  "job/result arity mismatch");
-    // Jobs that collected structured breakdowns promote the document
-    // to lsqca-bench-v2; plain sweeps keep emitting byte-identical v1.
-    // The caller's flag wins over content sniffing so empty shards of
-    // a breakdown sweep stamp v2 as well (see the header).
-    bool v2 = breakdownSchema;
-    for (const SimResult &r : report.results)
-        v2 = v2 || !r.breakdown.empty();
-    Json entries = Json::array();
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        entries.push(benchEntry(jobs[i].name, report.results[i],
-                                report.jobSeconds[i]));
-    return benchDocument(benchName, std::move(entries), report.threads,
-                         report.wallSeconds, v2);
-}
-
-Json
 benchEntry(const std::string &name, const SimResult &r, double jobSeconds)
 {
     Json metrics = Json::object();

@@ -81,30 +81,14 @@ class SweepEngine
 };
 
 /**
- * Build the standard BENCH JSON document for a sweep: one entry per
- * job with cpi / exec_beats / memory_beats / magic_stall_beats /
- * density / wall_seconds metrics. Jobs that collected structured
- * breakdowns (SimOptions::recordBreakdown) add a per-entry
- * "breakdown" array and promote the schema to lsqca-bench-v2; plain
- * sweeps emit byte-identical lsqca-bench-v1 (docs/OBSERVERS.md).
- *
- * @p breakdownSchema forces the v2 schema even when no entry carries
- * a breakdown: a sharded breakdown sweep must stamp v2 on its *empty*
- * shards too, or the shard set would mix schemas and refuse to merge
- * (runSpec passes the spec's record_breakdown flag).
- */
-Json benchReport(const std::string &benchName,
-                 const std::vector<SweepJob> &jobs,
-                 const SweepReport &report,
-                 bool breakdownSchema = false);
-
-/**
  * Build ONE BENCH entry — `{name, metrics{...}, [breakdown]}` — for a
- * simulated job. This is the unit the job-granularity result cache
- * stores and splices: benchReport() is defined as benchDocument() over
- * benchEntry() per job, so a document assembled from cached entries is
- * byte-identical to one built from a fresh simulation (the Json layer
- * guarantees dump(parse(dump(x))) == dump(x)).
+ * simulated job: cpi / exec_beats / memory_beats / magic_stall_beats /
+ * density / wall_seconds metrics, plus a "breakdown" array when the
+ * job collected one (SimOptions::recordBreakdown). This is the unit
+ * the job-granularity result cache stores and splices, so a document
+ * assembled from cached entries is byte-identical to one built from a
+ * fresh simulation (the Json layer guarantees
+ * dump(parse(dump(x))) == dump(x)).
  */
 Json benchEntry(const std::string &name, const SimResult &result,
                 double jobSeconds);
@@ -112,8 +96,10 @@ Json benchEntry(const std::string &name, const SimResult &result,
 /**
  * Assemble the standard BENCH document from pre-built entries (fresh
  * from benchEntry() or spliced back out of the job cache). @p v2
- * stamps the lsqca-bench-v2 schema; callers sniff cached entries for
- * a "breakdown" key the same way benchReport() sniffs SimResults.
+ * stamps the lsqca-bench-v2 schema, which documents carrying
+ * breakdowns need; plain sweeps emit byte-identical lsqca-bench-v1
+ * (docs/OBSERVERS.md). api::sliceDocument picks @p v2 for a sweep
+ * slice.
  */
 Json benchDocument(const std::string &benchName, Json entries,
                    std::int32_t threads, double wallSeconds, bool v2);

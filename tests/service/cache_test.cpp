@@ -1,15 +1,13 @@
 /**
  * @file
- * The result cache must be byte-exact (a cached shard replaces a
- * worker run, so any drift would silently corrupt the merged
- * artifact), safe against bad keys (a fingerprint becomes a file
- * name), and inert when disabled.
+ * The result cache must be safe against bad keys (a fingerprint
+ * becomes a file name) and inert when disabled; its byte-exact
+ * round trip is pinned in job_cache_test.cpp.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/fs.h"
 #include "common/hash.h"
 #include "service/cache.h"
 #include "service_test_util.h"
@@ -19,66 +17,30 @@ namespace {
 
 const char *kKey = "0123456789abcdef";
 
-TEST(ResultCache, StoreThenFetchIsByteExact)
-{
-    const std::string dir = test::scratchDir("cache");
-    const ResultCache cache(dir + "/cache");
-    const std::string doc =
-        "{\n  \"bench\": \"smoke\",\n  \"entries\": []\n}\n";
-    fsutil::writeFileAtomic(dir + "/src.json", doc);
-
-    EXPECT_FALSE(cache.contains(kKey));
-    EXPECT_FALSE(cache.fetch(kKey, dir + "/miss.json"));
-    EXPECT_FALSE(fsutil::exists(dir + "/miss.json"));
-    EXPECT_EQ(cache.size(), 0u);
-
-    cache.store(kKey, dir + "/src.json");
-    EXPECT_TRUE(cache.contains(kKey));
-    EXPECT_EQ(cache.size(), 1u);
-
-    // Fetch into a nested destination: parents are created and the
-    // bytes match exactly.
-    const std::string dest = dir + "/deep/nested/out.json";
-    EXPECT_TRUE(cache.fetch(kKey, dest));
-    EXPECT_EQ(fsutil::readFile(dest), doc);
-}
-
-TEST(ResultCache, StoreOverwritesSameKey)
-{
-    const std::string dir = test::scratchDir("overwrite");
-    const ResultCache cache(dir + "/cache");
-    fsutil::writeFileAtomic(dir + "/a.json", "aaa");
-    fsutil::writeFileAtomic(dir + "/b.json", "bbb");
-    cache.store(kKey, dir + "/a.json");
-    cache.store(kKey, dir + "/b.json");
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_TRUE(cache.fetch(kKey, dir + "/out.json"));
-    EXPECT_EQ(fsutil::readFile(dir + "/out.json"), "bbb");
-}
-
 TEST(ResultCache, RejectsMalformedFingerprints)
 {
     const std::string dir = test::scratchDir("badkey");
     const ResultCache cache(dir);
     // Path traversal or corruption in a queue file must never escape
     // the cache directory.
-    EXPECT_THROW(cache.pathFor("../../etc/passwd"), ConfigError);
-    EXPECT_THROW(cache.pathFor("0123"), ConfigError);
-    EXPECT_THROW(cache.pathFor("0123456789ABCDEF"), ConfigError);
-    EXPECT_NO_THROW(cache.pathFor(kKey));
+    EXPECT_THROW(cache.jobPathFor("../../etc/passwd"), ConfigError);
+    EXPECT_THROW(cache.jobPathFor("0123"), ConfigError);
+    EXPECT_THROW(cache.jobPathFor("0123456789ABCDEF"), ConfigError);
+    EXPECT_EQ(cache.jobPathFor(kKey), dir + "/jobs/" + kKey + ".json");
 }
 
 TEST(ResultCache, DisabledCacheIsInert)
 {
     const ResultCache cache{std::string()};
     EXPECT_FALSE(cache.enabled());
-    EXPECT_FALSE(cache.contains(kKey));
-    EXPECT_EQ(cache.size(), 0u);
-    const std::string dir = test::scratchDir("disabled");
-    fsutil::writeFileAtomic(dir + "/src.json", "x");
-    cache.store(kKey, dir + "/src.json"); // no-op, no throw
-    EXPECT_FALSE(cache.fetch(kKey, dir + "/out.json"));
-    EXPECT_THROW(cache.pathFor(kKey), ConfigError);
+    EXPECT_FALSE(cache.containsJob(kKey));
+    EXPECT_EQ(cache.jobCount(), 0u);
+    Json entry = Json::object();
+    entry.set("name", "job");
+    cache.storeJob(kKey, entry, Json::object()); // no-op, no throw
+    EXPECT_TRUE(cache.fetchJob(kKey).isNull());
+    EXPECT_EQ(cache.jobCount(), 0u);
+    EXPECT_THROW(cache.jobPathFor(kKey), ConfigError);
 }
 
 TEST(ResultCache, FingerprintHelpers)

@@ -3,15 +3,17 @@
  * The job-granularity incremental cache, end to end: canonical job
  * fingerprints (partition- and sweep-name-invariant), runSpec's splice
  * seam against an in-memory cache client, the on-disk
- * `lsqca-jobcache-v1` store, and the orchestrator behaviours the
- * tentpole promises — a resubmit after adding one grid point computes
- * exactly one job, a slice whose jobs are all cached assembles with
- * zero spawns, and an interrupted campaign never leaves an empty or
- * torn artifact behind.
+ * `lsqca-jobcache-v1` store, and the orchestrator behaviours built on
+ * them: a resubmit after adding one grid point computes exactly one
+ * job, a slice whose jobs are all cached (or that holds no job)
+ * assembles with zero spawns, stray documents at the top of the cache
+ * are never served, and an interrupted campaign never leaves an empty
+ * or torn artifact behind.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -281,13 +283,8 @@ TEST(Orchestrator, FullyJobCachedShardsAssembleWithZeroSpawns)
     first.cacheDir = cacheDir;
     EXPECT_TRUE(Orchestrator(first).submit(spec).complete);
 
-    // Drop every shard-level document, keep the job entries: the fast
-    // path is cold but the job layer can rebuild each slice — and does
-    // so in-process, without a single worker spawn.
-    for (const std::string &doc :
-         fsutil::listFiles(cacheDir, "", ".json"))
-        fsutil::removeFile(doc);
-    EXPECT_EQ(ResultCache(cacheDir).size(), 0u);
+    // The job entries alone rebuild each slice — in-process, without
+    // a single worker spawn.
     ASSERT_EQ(ResultCache(cacheDir).jobCount(), 3u);
 
     OrchestratorOptions second = baseOptions(dir + "/b");
@@ -300,8 +297,78 @@ TEST(Orchestrator, FullyJobCachedShardsAssembleWithZeroSpawns)
     EXPECT_EQ(report.jobCacheHits, 3);
     EXPECT_EQ(report.jobsComputed, 0);
     EXPECT_EQ(fsutil::readFile(report.mergedPath), golden);
-    // Assembly re-warmed the shard-level fast path.
-    EXPECT_EQ(ResultCache(cacheDir).size(), 3u);
+}
+
+TEST(Orchestrator, CachePassIgnoresStaleTopLevelShardDocuments)
+{
+    const std::string dir = test::scratchDir("stale_docs");
+    const std::string specPath = gridSpec(dir + "/spec.json", 3);
+    const std::string golden = goldenRun(specPath, dir + "/golden");
+    const std::string cacheDir = dir + "/cache";
+
+    OrchestratorOptions first = baseOptions(dir + "/a");
+    first.shards = 3;
+    first.cacheDir = cacheDir;
+    EXPECT_TRUE(Orchestrator(first).submit(specPath).complete);
+
+    // Plant a foreign document at `<cache>/<shard fingerprint>.json`
+    // for every task of the resubmit's partition. Only job entries
+    // count as cached results, so none of these bytes may reach the
+    // merge.
+    const SweepSpec spec = SweepSpec::load(specPath);
+    const std::vector<api::ExpandedJob> jobs =
+        api::expandSpec(spec, BenchmarkRegistry::paper());
+    std::vector<std::string> planted;
+    for (const std::string &print :
+         api::shardFingerprints(spec, jobs, 3, true)) {
+        planted.push_back(cacheDir + "/" + print + ".json");
+        fsutil::writeFileAtomic(planted.back(),
+                                "{\"bench\": \"stale\", \"entries\": []}\n");
+    }
+
+    OrchestratorOptions second = baseOptions(dir + "/b");
+    second.shards = 3;
+    second.cacheDir = cacheDir;
+    const CampaignReport report = Orchestrator(second).submit(specPath);
+    EXPECT_TRUE(report.complete);
+    EXPECT_EQ(report.spawned, 0);
+    EXPECT_EQ(report.cacheHits, 3);
+    EXPECT_EQ(report.jobsComputed, 0);
+    EXPECT_EQ(fsutil::readFile(report.mergedPath), golden);
+    // Neither campaign wrote a document at the top level of the cache.
+    std::sort(planted.begin(), planted.end());
+    EXPECT_EQ(fsutil::listFiles(cacheDir, "", ".json"), planted);
+}
+
+TEST(Orchestrator, MoreShardsThanJobsResubmitsWithZeroSpawns)
+{
+    const std::string dir = test::scratchDir("empty_shards");
+    const std::string spec = gridSpec(dir + "/spec.json", 2);
+    const std::string golden = goldenRun(spec, dir + "/golden");
+    const std::string cacheDir = dir + "/cache";
+
+    // Two jobs over five shards: three slices are empty, and an empty
+    // slice has no stale job, so it is assembled without a worker.
+    OrchestratorOptions first = baseOptions(dir + "/a");
+    first.shards = 5;
+    first.cacheDir = cacheDir;
+    const CampaignReport cold = Orchestrator(first).submit(spec);
+    EXPECT_TRUE(cold.complete);
+    EXPECT_EQ(cold.spawned, 2);
+    EXPECT_EQ(cold.cacheHits, 3);
+    EXPECT_EQ(cold.jobsComputed, 2);
+    EXPECT_EQ(fsutil::readFile(cold.mergedPath), golden);
+
+    OrchestratorOptions second = baseOptions(dir + "/b");
+    second.shards = 5;
+    second.cacheDir = cacheDir;
+    const CampaignReport warm = Orchestrator(second).submit(spec);
+    EXPECT_TRUE(warm.complete);
+    EXPECT_EQ(warm.spawned, 0);
+    EXPECT_EQ(warm.cacheHits, 5);
+    EXPECT_EQ(warm.jobCacheHits, 2);
+    EXPECT_EQ(warm.jobsComputed, 0);
+    EXPECT_EQ(fsutil::readFile(warm.mergedPath), golden);
 }
 
 TEST(Orchestrator, InterruptedCampaignNeverLeavesEmptyOrTornState)

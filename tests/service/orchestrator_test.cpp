@@ -188,7 +188,7 @@ TEST(Orchestrator, ResumeRejectsASpecThatChangedUnderTheCampaign)
 {
     const std::string dir = test::scratchDir("drift");
     const std::string specCopy = dir + "/smoke.json";
-    fsutil::copyFileAtomic(test::kSmokeSpec, specCopy);
+    fsutil::writeFileAtomic(specCopy, fsutil::readFile(test::kSmokeSpec));
 
     OrchestratorOptions options = baseOptions(dir + "/state");
     options.workers = 1;

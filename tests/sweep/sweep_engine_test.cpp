@@ -136,8 +136,15 @@ TEST(SweepEngine, BenchReportSchema)
     jobs.push_back(job);
     SweepEngine engine({1});
     const SweepReport report = engine.run(jobs);
-    const Json doc = benchReport("unit", jobs, report);
+    Json entries = Json::array();
+    entries.push(benchEntry(jobs[0].name, report.results[0],
+                            report.jobSeconds[0]));
+    const Json doc = benchDocument("unit", std::move(entries),
+                                   report.threads, report.wallSeconds,
+                                   false);
     const std::string text = doc.dump(0);
+    EXPECT_NE(text.find("\"schema\":\"lsqca-bench-v1\""),
+              std::string::npos);
     EXPECT_NE(text.find("\"bench\":\"unit\""), std::string::npos);
     EXPECT_NE(text.find("\"name\":\"ghz/point#1\""), std::string::npos);
     EXPECT_NE(text.find("\"cpi\":"), std::string::npos);

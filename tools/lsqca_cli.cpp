@@ -24,8 +24,8 @@
  *
  * `submit` expands the spec into shard tasks, persists them in
  * queue.json (schema lsqca-queue-v1), dispatches `lsqca run --shard`
- * workers, retries crashed/timed-out/straggling shards, serves
- * already-computed shards from a content-addressed result cache, and
+ * workers, retries crashed/timed-out/straggling shards, splices
+ * already-computed jobs from a content-addressed result cache, and
  * merges the shards into the same artifact a direct run writes.
  */
 
@@ -675,8 +675,8 @@ reportCampaign(const service::CampaignReport &report,
               << report.cacheHits << " cached, " << report.spawned
               << " spawned, " << report.retries << " retries, "
               << report.stragglersKilled << " stragglers killed)";
-    // Job-granularity cache split, shown only when the job layer took
-    // part (keeps pre-job-cache campaign output byte-identical).
+    // Job cache split, shown only when the cache took part (keeps
+    // cache-off campaign output byte-identical).
     if (report.jobCacheHits + report.jobsComputed > 0)
         std::cerr << " [" << report.jobCacheHits << " job hits, "
                   << report.jobsComputed << " jobs computed]";
@@ -1057,8 +1057,8 @@ cmdStatus(int argc, char **argv)
               << queue.countWithStatus(service::TaskStatus::Failed)
               << " of " << queue.shardCount << " shards\n";
     // Job-granularity split the last cache pass recorded per task.
-    // All-zero (cache off, or pure shard-level traffic) prints
-    // nothing, so pre-job-cache campaigns render unchanged.
+    // All-zero (cache off, or only empty slices) prints nothing, so
+    // pre-job-cache campaigns render unchanged.
     std::int64_t jobsCached = 0;
     std::int64_t jobsComputed = 0;
     for (const service::ShardTask &task : queue.tasks) {
