@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "arch/line_sam.h"
+#include "arch/msf.h"
 #include "arch/point_sam.h"
 #include "bench_util.h"
 #include "circuit/lowering.h"
@@ -186,6 +187,20 @@ main(int argc, char **argv)
                           doNotOptimize(sink);
                       }),
                "query", bankCap, "ns_per_storeCost");
+        // In-memory two-qubit positioning, the most frequent point-SAM
+        // bank operation on fig14: seek + pick to the port, then the
+        // port-stack shift of commitFetchToPort.
+        record("bank/point/fetchToPort",
+               bestOf(bankReps,
+                      [&] {
+                          std::int64_t sink = 0;
+                          for (QubitId q = 0; q < bankCap; ++q) {
+                              sink += bank.fetchToPortCost(q);
+                              bank.commitFetchToPort(q);
+                          }
+                          doNotOptimize(sink);
+                      }),
+               "query", bankCap, "ns_per_fetchToPort");
     }
     {
         LineSamBank bank(bankCap, Latencies{});
@@ -235,6 +250,24 @@ main(int argc, char **argv)
                       }),
                "query", static_cast<std::int64_t>(side) * side,
                "ns_per_nearestEmpty");
+    }
+
+    {
+        // Magic-state grants: the MSF recurrence once per T gate. Bursts
+        // of 16 requests 64 beats apart: each burst drains the buffer
+        // and stalls on the factories, each gap refills it.
+        const std::int64_t acquiresPerRep = args.smoke ? 20000 : 200000;
+        record("msf/acquire",
+               bestOf(bankReps,
+                      [&] {
+                          MagicSource msf(4, 8, 15, 1, /*warm=*/true,
+                                          /*instant=*/false);
+                          std::int64_t sink = 0;
+                          for (std::int64_t i = 0; i < acquiresPerRep; ++i)
+                              sink += msf.acquire((i / 16) * 64).end;
+                          doNotOptimize(sink);
+                      }),
+               "acquire", acquiresPerRep, "ns_per_acquire");
     }
 
     {

@@ -9,7 +9,7 @@
  */
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/error.h"
 
@@ -52,7 +52,7 @@ class MagicSource
     std::int64_t stallBeats() const { return stallBeats_; }
 
   private:
-    std::int64_t deliveryTime(std::int64_t k);
+    std::int64_t deliveryTime(std::int64_t k) const;
 
     std::int32_t factories_;
     std::int32_t bufferCap_;
@@ -62,8 +62,18 @@ class MagicSource
     bool instant_;
     std::int64_t consumed_ = 0;
     std::int64_t stallBeats_ = 0;
-    std::deque<std::int64_t> dHistory_; ///< last `factories_` deliveries
-    std::deque<std::int64_t> cHistory_; ///< last `bufferCap_` consumptions
+    /**
+     * The recurrence reads d_{k-f} and c_{k-B} only, so each history
+     * is a ring: slot k % n holds entry k - n until entry k overwrites
+     * it. A ring fills by appending until it holds n entries and then
+     * wraps in place, so acquire() stops allocating after the first
+     * max(f, B) states, and a huge buffer_cap costs memory only for
+     * the states actually consumed.
+     */
+    std::vector<std::int64_t> dRing_; ///< last `factories_` deliveries
+    std::vector<std::int64_t> cRing_; ///< last `bufferCap_` consumptions
+    std::size_t dSlot_ = 0;           ///< consumed_ % factories_
+    std::size_t cSlot_ = 0;           ///< consumed_ % bufferCap_
 };
 
 } // namespace lsqca

@@ -14,36 +14,6 @@ OccupancyGrid::OccupancyGrid(std::int32_t rows, std::int32_t cols)
 {
 }
 
-bool
-OccupancyGrid::contains(const Coord &c) const
-{
-    return c.row >= 0 && c.row < rows_ && c.col >= 0 && c.col < cols_;
-}
-
-std::size_t
-OccupancyGrid::index(const Coord &c) const
-{
-    LSQCA_ASSERT(contains(c), "grid coordinate out of range");
-    return static_cast<std::size_t>(c.row) * static_cast<std::size_t>(cols_)
-           + static_cast<std::size_t>(c.col);
-}
-
-QubitId
-OccupancyGrid::at(const Coord &c) const
-{
-    return cells_[index(c)];
-}
-
-Coord &
-OccupancyGrid::positionSlot(QubitId q)
-{
-    LSQCA_REQUIRE(q >= 0, "invalid qubit id");
-    const auto idx = static_cast<std::size_t>(q);
-    if (idx >= positions_.size())
-        positions_.resize(idx + 1, Coord{-1, -1});
-    return positions_[idx];
-}
-
 void
 OccupancyGrid::place(QubitId q, const Coord &c)
 {
@@ -102,23 +72,6 @@ OccupancyGrid::relocate(QubitId q, const Coord &to)
         listener_->onCellVacated(q, from);
         listener_->onCellOccupied(q, to);
     }
-}
-
-std::optional<Coord>
-OccupancyGrid::find(QubitId q) const
-{
-    const auto idx = static_cast<std::size_t>(q);
-    if (q < 0 || idx >= positions_.size() || positions_[idx].row < 0)
-        return std::nullopt;
-    return positions_[idx];
-}
-
-Coord
-OccupancyGrid::locate(QubitId q) const
-{
-    const auto pos = find(q);
-    LSQCA_REQUIRE(pos.has_value(), "qubit not placed in grid");
-    return *pos;
 }
 
 std::optional<Coord>

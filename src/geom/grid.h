@@ -53,6 +53,12 @@ class CellListener
  * tie-breaking. A monotonic version() counter bumps on every mutation
  * so callers (the bank cost models) can cache derived lookups and
  * invalidate them precisely.
+ *
+ * The cell and position accessors (contains, at, find, locate and the
+ * private index/positionSlot) are defined in this header: the bank cost
+ * models call them several times per simulated instruction, and
+ * out-of-line bodies kept one real call per lookup even under
+ * link-time optimization.
  */
 class OccupancyGrid
 {
@@ -65,10 +71,13 @@ class OccupancyGrid
     std::int32_t cellCount() const { return rows_ * cols_; }
 
     /** Whether @p c lies inside the grid. */
-    bool contains(const Coord &c) const;
+    bool contains(const Coord &c) const
+    {
+        return c.row >= 0 && c.row < rows_ && c.col >= 0 && c.col < cols_;
+    }
 
     /** Qubit at cell @p c, or kNoQubit. @pre contains(c) */
-    QubitId at(const Coord &c) const;
+    QubitId at(const Coord &c) const { return cells_[index(c)]; }
 
     bool isEmptyCell(const Coord &c) const { return at(c) == kNoQubit; }
 
@@ -88,10 +97,21 @@ class OccupancyGrid
     void relocate(QubitId q, const Coord &to);
 
     /** Position of qubit @p q, if placed. */
-    std::optional<Coord> find(QubitId q) const;
+    std::optional<Coord> find(QubitId q) const
+    {
+        const auto idx = static_cast<std::size_t>(q);
+        if (q < 0 || idx >= positions_.size() || positions_[idx].row < 0)
+            return std::nullopt;
+        return positions_[idx];
+    }
 
     /** Position of qubit @p q. @pre q is placed */
-    Coord locate(QubitId q) const;
+    Coord locate(QubitId q) const
+    {
+        const auto pos = find(q);
+        LSQCA_REQUIRE(pos.has_value(), "qubit not placed in grid");
+        return *pos;
+    }
 
     /**
      * Empty cell minimizing manhattan distance to @p target; nullopt
@@ -146,13 +166,26 @@ class OccupancyGrid
     }
 
   private:
-    std::size_t index(const Coord &c) const;
+    std::size_t index(const Coord &c) const
+    {
+        LSQCA_ASSERT(contains(c), "grid coordinate out of range");
+        return static_cast<std::size_t>(c.row) *
+                   static_cast<std::size_t>(cols_) +
+               static_cast<std::size_t>(c.col);
+    }
 
     /** relocate() sans notification; returns the vacated cell. */
     Coord relocateImpl(QubitId q, const Coord &to);
 
     /** positions_ slot for @p q, grown on demand; {-1,-1} = unplaced. */
-    Coord &positionSlot(QubitId q);
+    Coord &positionSlot(QubitId q)
+    {
+        LSQCA_REQUIRE(q >= 0, "invalid qubit id");
+        const auto idx = static_cast<std::size_t>(q);
+        if (idx >= positions_.size())
+            positions_.resize(idx + 1, Coord{-1, -1});
+        return positions_[idx];
+    }
 
     std::int32_t rows_;
     std::int32_t cols_;
@@ -162,8 +195,8 @@ class OccupancyGrid
     /**
      * Qubit -> cell, indexed by QubitId (program variable indices are
      * dense, so a flat vector beats the hash map this replaced: the
-     * position lookup is the single hottest operation in both the
-     * detailed and fast-forward commit paths). row == -1 = unplaced.
+     * position lookup is the single hottest operation of the bank
+     * cost models). row == -1 = unplaced.
      */
     std::vector<Coord> positions_;
     OccupancyIndex empties_;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <string>
@@ -8,6 +7,7 @@
 #include "arch/line_sam.h"
 #include "arch/point_sam.h"
 #include "common/rng.h"
+#include "fuzz_seeds.h"
 #include "geom/grid.h"
 #include "reference/reference_banks.h"
 
@@ -20,30 +20,6 @@ iota(std::int32_t n)
     std::vector<QubitId> vars(static_cast<std::size_t>(n));
     std::iota(vars.begin(), vars.end(), 0);
     return vars;
-}
-
-/**
- * Seed-set size for the differential suites. The default (8 per bank
- * kind) keeps the discovered ctest run CI-sized; the fuzz-labeled
- * ctest entry re-runs the same suites with LSQCA_FUZZ_SEEDS=64 (see
- * CMakeLists.txt and the CI `ctest -L fuzz` step).
- */
-int
-fuzzSeedCount()
-{
-    if (const char *env = std::getenv("LSQCA_FUZZ_SEEDS")) {
-        const int n = std::atoi(env);
-        if (n >= 1 && n <= 65536)
-            return n;
-    }
-    return 8;
-}
-
-/** Distinct, well-mixed 64-bit seed for differential round @p index. */
-std::uint64_t
-differentialSeed(int index)
-{
-    return 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(index) + 1);
 }
 
 /**

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
+#include "fuzz_seeds.h"
+
 namespace lsqca {
 namespace {
 
@@ -114,6 +120,157 @@ TEST(MagicSource, MonotoneRequestsGiveMonotoneGrants)
         prev = grant.start;
     }
 }
+
+// ---- ring histories vs the full recurrence ---------------------------------
+//
+// MagicSource keeps only the last f deliveries and the last B
+// consumptions, in rings. The oracle below keeps every d_k and c_k and
+// evaluates d_k = max(d_{k-f} + period, c_{k-B}) by direct indexing,
+// so any slot or wrap error in the rings shows up as a differing grant.
+
+/** Full-history MagicSource: a deliberately naive copy of the model. */
+class ReferenceMagicSource
+{
+  public:
+    ReferenceMagicSource(std::int32_t factories, std::int32_t buffer_cap,
+                         std::int32_t period, std::int32_t transfer,
+                         bool warm_start, bool instant)
+        : f_(factories), b_(buffer_cap), period_(period),
+          transfer_(transfer), warm_(warm_start), instant_(instant)
+    {
+    }
+
+    MagicSource::Grant
+    acquire(std::int64_t req)
+    {
+        if (instant_)
+            return {req, req};
+        const auto k = static_cast<std::int64_t>(c_.size());
+        std::int64_t ready;
+        if (warm_ && k < b_) {
+            ready = 0;
+        } else {
+            ready = (k >= f_ ? d_[static_cast<std::size_t>(k - f_)] : 0) +
+                    period_;
+            if (k >= b_)
+                ready = std::max(ready,
+                                 c_[static_cast<std::size_t>(k - b_)]);
+        }
+        const std::int64_t start = std::max(req, ready);
+        stall_ += std::max<std::int64_t>(0, ready - req);
+        d_.push_back(std::max<std::int64_t>(ready, 0));
+        c_.push_back(start);
+        return {start, start + transfer_};
+    }
+
+    std::int64_t consumed() const
+    {
+        return static_cast<std::int64_t>(c_.size());
+    }
+    std::int64_t stallBeats() const { return stall_; }
+
+  private:
+    std::int64_t f_;
+    std::int64_t b_;
+    std::int64_t period_;
+    std::int64_t transfer_;
+    bool warm_;
+    bool instant_;
+    std::int64_t stall_ = 0;
+    std::vector<std::int64_t> d_;
+    std::vector<std::int64_t> c_;
+};
+
+struct MsfParams
+{
+    std::int32_t factories;
+    std::int32_t bufferCap;
+    std::int32_t period;
+    std::int32_t transfer;
+    bool warm;
+    bool instant;
+};
+
+/**
+ * Drive both models with @p requests (non-decreasing) and assert that
+ * every grant and both counters agree after each acquire.
+ */
+void
+expectSameAsReference(const MsfParams &p,
+                      const std::vector<std::int64_t> &requests)
+{
+    MagicSource msf(p.factories, p.bufferCap, p.period, p.transfer, p.warm,
+                    p.instant);
+    ReferenceMagicSource ref(p.factories, p.bufferCap, p.period,
+                             p.transfer, p.warm, p.instant);
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+        SCOPED_TRACE(testing::Message()
+                     << "f=" << p.factories << " B=" << p.bufferCap
+                     << " period=" << p.period << " warm=" << p.warm
+                     << " instant=" << p.instant << " k=" << k);
+        const auto got = msf.acquire(requests[k]);
+        const auto want = ref.acquire(requests[k]);
+        ASSERT_EQ(got.start, want.start);
+        ASSERT_EQ(got.end, want.end);
+        ASSERT_EQ(msf.stallBeats(), ref.stallBeats());
+        ASSERT_EQ(msf.consumed(), ref.consumed());
+    }
+}
+
+TEST(MagicSource, RingsMatchFullHistoryBeforeAndAcrossTheWrap)
+{
+    // Every (f, B) shape, warm and cold, through k < f, k < B and two
+    // full turns of the larger ring. Requests all at t = 0 keep the
+    // buffer drained (the factory term binds); bursts of four with idle
+    // gaps let it refill, so the consumption term binds too.
+    for (std::int32_t f = 1; f <= 8; ++f)
+        for (std::int32_t b = 1; b <= 16; ++b)
+            for (const bool warm : {true, false}) {
+                const auto n =
+                    static_cast<std::size_t>(2 * std::max(f, b) + 3);
+                std::vector<std::int64_t> drained(n, 0);
+                std::vector<std::int64_t> bursts(n);
+                for (std::size_t k = 0; k < n; ++k)
+                    bursts[k] = static_cast<std::int64_t>(k / 4) * 25;
+                expectSameAsReference({f, b, 7, 1, warm, false}, drained);
+                expectSameAsReference({f, b, 7, 1, warm, false}, bursts);
+            }
+}
+
+class MagicSourceDifferential : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(MagicSourceDifferential, RingsMatchFullHistory)
+{
+    Rng rng(differentialSeed(GetParam()) ^ 0x3a61c5ULL);
+    for (int round = 0; round < 16; ++round) {
+        const MsfParams p{
+            static_cast<std::int32_t>(rng.between(1, 8)),
+            static_cast<std::int32_t>(rng.between(1, 16)),
+            static_cast<std::int32_t>(rng.between(1, 20)),
+            static_cast<std::int32_t>(rng.between(0, 3)),
+            rng.chance(0.5),
+            rng.chance(0.125),
+        };
+        // Non-decreasing requests mixing bursts (no gap: the buffer
+        // drains and the factories bind), steady issue, and long idles
+        // (the buffer refills and the c_{k-B} term binds).
+        std::vector<std::int64_t> requests;
+        std::int64_t t = rng.between(0, 5);
+        const auto n = rng.between(1, 300);
+        for (std::int64_t i = 0; i < n; ++i) {
+            requests.push_back(t);
+            const auto mode = rng.below(8);
+            if (mode >= 3)
+                t += mode == 7 ? rng.between(50, 400) : rng.between(0, 6);
+        }
+        expectSameAsReference(p, requests);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MagicSourceDifferential,
+                         ::testing::Range(0, fuzzSeedCount()));
 
 } // namespace
 } // namespace lsqca

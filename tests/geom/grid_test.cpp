@@ -229,6 +229,55 @@ TEST(OccupancyGrid, EmptyCellsRowMajor)
     EXPECT_EQ(empties[1], (Coord{1, 1}));
 }
 
+// ---- accessor contracts -----------------------------------------------------
+//
+// The cell and position accessors are defined in grid.h so they inline
+// into the bank cost models; their checks must stay in every build.
+
+TEST(OccupancyGrid, CellAccessOutOfRangeThrowsInternalError)
+{
+    OccupancyGrid g(2, 3);
+    for (const Coord c : {Coord{-1, 0}, Coord{0, -1}, Coord{2, 0},
+                          Coord{0, 3}, Coord{5, 5}}) {
+        EXPECT_THROW((void)g.at(c), InternalError)
+            << "(" << c.row << "," << c.col << ")";
+        EXPECT_THROW((void)g.isEmptyCell(c), InternalError)
+            << "(" << c.row << "," << c.col << ")";
+    }
+    EXPECT_THROW(g.place(1, {2, 0}), InternalError);
+    EXPECT_EQ(g.occupiedCount(), 0);
+}
+
+TEST(OccupancyGrid, FindOutsideThePositionTableIsNullopt)
+{
+    OccupancyGrid g(2, 2);
+    EXPECT_FALSE(g.find(-1).has_value());
+    EXPECT_FALSE(g.find(0).has_value()); // empty table
+    g.place(3, {1, 1});
+    EXPECT_FALSE(g.find(-1).has_value());
+    EXPECT_FALSE(g.find(2).has_value()); // inside the table, unplaced
+    EXPECT_FALSE(g.find(4).has_value()); // one past the table
+    EXPECT_FALSE(g.find(1000).has_value());
+    EXPECT_EQ(g.find(3), (Coord{1, 1}));
+    EXPECT_THROW(g.locate(-1), ConfigError);
+    EXPECT_THROW(g.locate(4), ConfigError);
+}
+
+TEST(OccupancyGrid, OccupiedDestinationThrowsConfigError)
+{
+    OccupancyGrid g(2, 2);
+    g.place(1, {0, 0});
+    g.place(2, {0, 1});
+    EXPECT_THROW(g.place(3, {0, 1}), ConfigError);
+    EXPECT_THROW(g.relocate(1, {0, 1}), ConfigError);
+    EXPECT_THROW(g.place(-2, {1, 0}), ConfigError); // invalid qubit id
+    // The failed mutations left the grid as it was.
+    EXPECT_EQ(g.locate(1), (Coord{0, 0}));
+    EXPECT_EQ(g.locate(2), (Coord{0, 1}));
+    EXPECT_FALSE(g.find(3).has_value());
+    EXPECT_EQ(g.occupiedCount(), 2);
+}
+
 TEST(OccupancyGrid, ContainsBounds)
 {
     OccupancyGrid g(2, 3);
