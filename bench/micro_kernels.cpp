@@ -172,8 +172,9 @@ main(int argc, char **argv)
                           doNotOptimize(sink);
                       }),
                "query", bankCap, "ns_per_loadCost");
-        // Load/locality-store churn: storeCost + commitStore exercise
-        // the nearest-empty index and the makeRoomAt hole walk.
+        // Load/locality-store churn: commitStore (which returns the
+        // store's cost, as the simulator charges it) exercises the
+        // nearest-empty index and the makeRoomAt hole walk.
         record("bank/point/storeCost",
                bestOf(bankReps,
                       [&] {
@@ -181,23 +182,21 @@ main(int argc, char **argv)
                           for (QubitId q = 0; q < bankCap; ++q) {
                               bank.commitLoad(q);
                               const bool locality = (q & 1) == 0;
-                              sink += bank.storeCost(q, locality);
-                              bank.commitStore(q, locality);
+                              sink += bank.commitStore(q, locality);
                           }
                           doNotOptimize(sink);
                       }),
                "query", bankCap, "ns_per_storeCost");
         // In-memory two-qubit positioning, the most frequent point-SAM
         // bank operation on fig14: seek + pick to the port, then the
-        // port-stack shift of commitFetchToPort.
+        // port-stack shift of commitFetchToPort, one call as the
+        // simulator makes it.
         record("bank/point/fetchToPort",
                bestOf(bankReps,
                       [&] {
                           std::int64_t sink = 0;
-                          for (QubitId q = 0; q < bankCap; ++q) {
-                              sink += bank.fetchToPortCost(q);
-                              bank.commitFetchToPort(q);
-                          }
+                          for (QubitId q = 0; q < bankCap; ++q)
+                              sink += bank.commitFetchToPort(q);
                           doNotOptimize(sink);
                       }),
                "query", bankCap, "ns_per_fetchToPort");
@@ -221,8 +220,7 @@ main(int argc, char **argv)
                           for (QubitId q = 0; q < bankCap; ++q) {
                               bank.commitLoad(q);
                               const bool locality = (q & 1) == 0;
-                              sink += bank.storeCost(q, locality);
-                              bank.commitStore(q, locality);
+                              sink += bank.commitStore(q, locality);
                           }
                           doNotOptimize(sink);
                       }),

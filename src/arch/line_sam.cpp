@@ -40,11 +40,21 @@ LineSamBank::placeInitial(const std::vector<QubitId> &vars)
         for (std::int32_t c = 0; c < grid_.cols() && next < vars.size();
              ++c) {
             grid_.place(vars[next], {r, c});
-            homes_.emplace(vars[next], Coord{r, c});
+            homeSlot(vars[next]) = Coord{r, c};
             ++next;
         }
     }
     LSQCA_ASSERT(next == vars.size(), "initial placement did not fit");
+}
+
+Coord &
+LineSamBank::homeSlot(QubitId q)
+{
+    LSQCA_ASSERT(q >= 0, "invalid qubit id");
+    const auto idx = static_cast<std::size_t>(q);
+    if (idx >= homes_.size())
+        homes_.resize(idx + 1, Coord{-1, -1});
+    return homes_[idx];
 }
 
 std::int64_t
@@ -70,10 +80,13 @@ LineSamBank::alignCost(QubitId q) const
     return alignCostToRow(grid_.locate(q).row);
 }
 
-void
+std::int64_t
 LineSamBank::commitAlign(QubitId q)
 {
-    gap_ = nearerGapSide(grid_.locate(q).row);
+    const std::int32_t row = grid_.locate(q).row;
+    const std::int64_t cost = alignCostToRow(row);
+    gap_ = nearerGapSide(row);
+    return cost;
 }
 
 std::int64_t
@@ -83,12 +96,12 @@ LineSamBank::loadCost(QubitId q) const
     return alignCost(q) + lat_.move + lat_.longMove;
 }
 
-void
+std::int64_t
 LineSamBank::commitLoad(QubitId q)
 {
-    const Coord pos = grid_.locate(q);
-    gap_ = nearerGapSide(pos.row);
+    const std::int64_t cost = commitAlign(q) + lat_.move + lat_.longMove;
     grid_.remove(q);
+    return cost;
 }
 
 bool
@@ -111,65 +124,66 @@ LineSamBank::directSurgeryCost(QubitId a, QubitId b) const
     return std::abs(gap_ - between) * lat_.move;
 }
 
-void
+std::int64_t
 LineSamBank::commitDirectSurgery(QubitId a, QubitId b)
 {
+    const std::int64_t cost = directSurgeryCost(a, b);
     const std::int32_t ra = grid_.locate(a).row;
     const std::int32_t rb = grid_.locate(b).row;
     gap_ = ra == rb ? nearerGapSide(ra) : std::max(ra, rb);
+    return cost;
 }
 
 LineSamBank::StorePlan
 LineSamBank::storePlan(QubitId q, bool locality) const
 {
-    if (planCache_.q == q && planCache_.locality == locality &&
-        planCache_.version == grid_.version() && planCache_.gap == gap_)
-        return planCache_.plan;
-    StorePlan plan;
     if (!locality) {
-        const auto it = homes_.find(q);
-        LSQCA_ASSERT(it != homes_.end(), "qubit has no home cell in bank");
-        if (grid_.isEmptyCell(it->second)) {
-            plan = {it->second,
-                    alignCostToRow(it->second.row) / lat_.move};
-        } else {
-            const auto near = grid_.nearestEmpty(it->second);
+        LSQCA_ASSERT(q >= 0 &&
+                         static_cast<std::size_t>(q) < homes_.size() &&
+                         homes_[static_cast<std::size_t>(q)].row >= 0,
+                     "qubit has no home cell in bank");
+        Coord dest = homes_[static_cast<std::size_t>(q)];
+        if (!grid_.isEmptyCell(dest)) {
+            const auto near = grid_.nearestEmpty(dest);
             LSQCA_ASSERT(near.has_value(), "line-SAM bank is full");
-            plan = {*near, alignCostToRow(near->row) / lat_.move};
+            dest = *near;
         }
-    } else {
-        // Locality-aware: drop into a row adjacent to the current gap
-        // (the hot line); the in-flight qubit's hole slides there via
-        // the makeRoomAt insertion, so no gap shifts are needed.
-        const std::int32_t row =
-            gap_ < grid_.rows() ? gap_ : grid_.rows() - 1;
-        const auto hole = grid_.nearestEmpty({row, 0});
-        LSQCA_ASSERT(hole.has_value(), "line-SAM bank is full");
-        plan = {Coord{row, hole->col}, 0};
+        return {dest, alignCostToRow(dest.row) / lat_.move};
     }
-    planCache_ = {grid_.version(), q, locality, gap_, plan};
-    return plan;
+    // Locality-aware: drop into a row adjacent to the current gap
+    // (the hot line); the in-flight qubit's hole slides there via
+    // the makeRoomAt insertion, so no gap shifts are needed.
+    const std::int32_t row = gap_ < grid_.rows() ? gap_ : grid_.rows() - 1;
+    const auto hole = grid_.nearestEmpty({row, 0});
+    LSQCA_ASSERT(hole.has_value(), "line-SAM bank is full");
+    return {Coord{row, hole->col}, 0};
 }
 
 std::int64_t
-LineSamBank::storeCost(QubitId q, bool locality) const
+LineSamBank::storeCostOf(const StorePlan &plan) const
 {
-    const StorePlan plan = storePlan(q, locality);
     // Slide from the CR along the gap row, then drop into the target
     // row (after any gap shifts).
     return plan.shifts * lat_.move + lat_.longMove + lat_.move;
 }
 
-Coord
+std::int64_t
+LineSamBank::storeCost(QubitId q, bool locality) const
+{
+    return storeCostOf(storePlan(q, locality));
+}
+
+std::int64_t
 LineSamBank::commitStore(QubitId q, bool locality)
 {
     const StorePlan plan = storePlan(q, locality);
     grid_.makeRoomAt(plan.dest);
     grid_.place(q, plan.dest);
-    if (homes_.find(q) == homes_.end())
-        homes_.emplace(q, plan.dest);
+    Coord &home = homeSlot(q);
+    if (home.row < 0)
+        home = plan.dest;
     gap_ = nearerGapSide(plan.dest.row);
-    return plan.dest;
+    return storeCostOf(plan);
 }
 
 } // namespace lsqca

@@ -14,7 +14,6 @@
  */
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/config.h"
@@ -64,14 +63,18 @@ class LineSamBank
     /** Beats to align the gap next to @p q's row (in-memory ops). */
     std::int64_t alignCost(QubitId q) const;
 
-    /** Move the gap adjacent to @p q's row. */
-    void commitAlign(QubitId q);
+    /**
+     * Move the gap adjacent to @p q's row. Every commit returns the
+     * beats it charged — what its cost query would have returned just
+     * before it.
+     */
+    std::int64_t commitAlign(QubitId q);
 
     /** Beats to bring @p q from SAM into a CR register cell. */
     std::int64_t loadCost(QubitId q) const;
 
     /** Apply the load: @p q leaves; the gap faces its old row. */
-    void commitLoad(QubitId q);
+    std::int64_t commitLoad(QubitId q);
 
     /**
      * Beats to store a qubit from CR. Locality-aware stores pick a
@@ -80,8 +83,8 @@ class LineSamBank
      */
     std::int64_t storeCost(QubitId q, bool locality) const;
 
-    /** Apply the store; returns the destination cell. */
-    Coord commitStore(QubitId q, bool locality);
+    /** Apply the store; returns its beats (destination: positionOf). */
+    std::int64_t commitStore(QubitId q, bool locality);
 
     /**
      * Whether @p a and @p b can merge directly (ArchConfig::directSurgery
@@ -94,7 +97,7 @@ class LineSamBank
     std::int64_t directSurgeryCost(QubitId a, QubitId b) const;
 
     /** Park the gap at the direct-surgery position. */
-    void commitDirectSurgery(QubitId a, QubitId b);
+    std::int64_t commitDirectSurgery(QubitId a, QubitId b);
 
   private:
     struct StorePlan
@@ -103,30 +106,18 @@ class LineSamBank
         std::int64_t shifts;
     };
     StorePlan storePlan(QubitId q, bool locality) const;
+    std::int64_t storeCostOf(const StorePlan &plan) const;
     std::int32_t nearerGapSide(std::int32_t row) const;
+
+    /** Home cell of @p q; {-1,-1} when never stored (flat by QubitId,
+     *  same layout argument as OccupancyGrid::positions_). */
+    Coord &homeSlot(QubitId q);
 
     std::int32_t capacity_;
     Latencies lat_;
     OccupancyGrid grid_; ///< data rows only; the gap is bookkept aside
     std::int32_t gap_ = 0;
-    std::unordered_map<QubitId, Coord> homes_;
-
-    /**
-     * Memo for storePlan: storeCost and commitStore ask for the same
-     * plan back to back. The plan depends on the grid contents and on
-     * the gap position (locality targets the gap-adjacent row, home
-     * stores pay gap shifts), so the key is (qubit, locality,
-     * OccupancyGrid::version(), gap).
-     */
-    struct PlanCache
-    {
-        std::uint64_t version = 0;
-        QubitId q = kNoQubit;
-        bool locality = false;
-        std::int32_t gap = -1;
-        StorePlan plan{};
-    };
-    mutable PlanCache planCache_;
+    std::vector<Coord> homes_;
 };
 
 } // namespace lsqca

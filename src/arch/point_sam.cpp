@@ -78,50 +78,61 @@ PointSamBank::pickCost(const Coord &from, const Coord &to) const
 }
 
 std::int64_t
-PointSamBank::seekCost(QubitId q) const
+PointSamBank::seekCostAt(const Coord &pos) const
 {
-    const Coord pos = grid_.locate(q);
     const std::int64_t dist = manhattan(scan_, pos);
     return std::max<std::int64_t>(0, dist - 1) * lat_.move;
 }
 
-void
+std::int64_t
+PointSamBank::fetchCostAt(const Coord &pos) const
+{
+    return seekCostAt(pos) + pickCost(pos, port_);
+}
+
+std::int64_t
+PointSamBank::seekCost(QubitId q) const
+{
+    return seekCostAt(grid_.locate(q));
+}
+
+std::int64_t
 PointSamBank::commitSeek(QubitId q)
 {
-    scan_ = grid_.locate(q);
+    const Coord pos = grid_.locate(q);
+    const std::int64_t cost = seekCostAt(pos);
+    scan_ = pos;
+    return cost;
 }
 
 std::int64_t
 PointSamBank::loadCost(QubitId q) const
 {
-    const Coord pos = grid_.locate(q);
-    return seekCost(q) + pickCost(pos, port_) + lat_.move;
+    return fetchCostAt(grid_.locate(q)) + lat_.move;
 }
 
-void
+std::int64_t
 PointSamBank::commitLoad(QubitId q)
 {
+    const std::int64_t cost = loadCost(q);
     grid_.remove(q);
     scan_ = port_;
+    return cost;
 }
 
 Coord
 PointSamBank::homeOrNearest(QubitId q) const
 {
-    if (homeCache_.q == q && homeCache_.version == grid_.version())
-        return homeCache_.dest;
     LSQCA_ASSERT(q >= 0 &&
                      static_cast<std::size_t>(q) < homes_.size() &&
                      homes_[static_cast<std::size_t>(q)].row >= 0,
                  "qubit has no home cell in bank");
-    Coord dest = homes_[static_cast<std::size_t>(q)];
-    if (!grid_.isEmptyCell(dest)) {
-        const auto near = grid_.nearestEmpty(dest);
-        LSQCA_ASSERT(near.has_value(), "point-SAM bank is full");
-        dest = *near;
-    }
-    homeCache_ = {grid_.version(), q, dest};
-    return dest;
+    const Coord home = homes_[static_cast<std::size_t>(q)];
+    if (grid_.isEmptyCell(home))
+        return home;
+    const auto near = grid_.nearestEmpty(home);
+    LSQCA_ASSERT(near.has_value(), "point-SAM bank is full");
+    return *near;
 }
 
 Coord
@@ -135,42 +146,49 @@ PointSamBank::storeDestination(QubitId q, bool locality) const
 }
 
 std::int64_t
-PointSamBank::storeCost(QubitId q, bool locality) const
+PointSamBank::storeCostTo(const Coord &dest) const
 {
-    const Coord dest = storeDestination(q, locality);
     return lat_.move + pickCost(port_, dest);
 }
 
-Coord
+std::int64_t
+PointSamBank::storeCost(QubitId q, bool locality) const
+{
+    return storeCostTo(storeDestination(q, locality));
+}
+
+std::int64_t
 PointSamBank::commitStore(QubitId q, bool locality)
 {
     const Coord dest = storeDestination(q, locality);
+    const std::int64_t cost = storeCostTo(dest);
     grid_.makeRoomAt(dest);
     grid_.place(q, dest);
     Coord &home = homeSlot(q);
     if (home.row < 0)
         home = dest;
     scan_ = dest; // the escorting hole ends next to the stored cell
-    return dest;
+    return cost;
 }
 
 std::int64_t
 PointSamBank::fetchToPortCost(QubitId q) const
 {
-    const Coord pos = grid_.locate(q);
-    return seekCost(q) + pickCost(pos, port_);
+    return fetchCostAt(grid_.locate(q));
 }
 
-void
+std::int64_t
 PointSamBank::commitFetchToPort(QubitId q)
 {
+    const std::int64_t cost = fetchToPortCost(q);
     // The fetched qubit takes the port cell; the previous occupant (and
     // the chain behind it) slides one step toward the freed cell — the
     // LRU-like stack that keeps the hot working set port-adjacent.
-    grid_.remove(q);
-    grid_.makeRoomAt(port_);
-    grid_.place(q, port_);
+    // Nearly always the freed cell is the hole nearest the port, so the
+    // move is a rotation that leaves the empty set alone.
+    grid_.moveInto(q, port_);
     scan_ = port_;
+    return cost;
 }
 
 } // namespace lsqca

@@ -61,8 +61,12 @@ class PointSamBank
     /** Beats to bring @p q from SAM into a CR register cell. */
     std::int64_t loadCost(QubitId q) const;
 
-    /** Apply the load: @p q leaves the bank; the scan ends at the port. */
-    void commitLoad(QubitId q);
+    /**
+     * Apply the load: @p q leaves the bank; the scan ends at the port.
+     * Every commit returns the beats it charged — what its cost query
+     * would have returned just before it.
+     */
+    std::int64_t commitLoad(QubitId q);
 
     /**
      * Beats to store a qubit from CR into the bank. Locality-aware
@@ -71,14 +75,14 @@ class PointSamBank
      */
     std::int64_t storeCost(QubitId q, bool locality) const;
 
-    /** Apply the store; returns the destination cell. */
-    Coord commitStore(QubitId q, bool locality);
+    /** Apply the store; returns its beats (destination: positionOf). */
+    std::int64_t commitStore(QubitId q, bool locality);
 
     /** Beats for the scan hole to reach @p q (in-memory 1q ops). */
     std::int64_t seekCost(QubitId q) const;
 
-    /** Scan ends adjacent to @p q. */
-    void commitSeek(QubitId q);
+    /** Scan ends adjacent to @p q; returns seekCost's beats. */
+    std::int64_t commitSeek(QubitId q);
 
     /**
      * Beats to drag @p q to the port for an in-memory two-qubit op
@@ -86,18 +90,23 @@ class PointSamBank
      */
     std::int64_t fetchToPortCost(QubitId q) const;
 
-    /** @p q relocates to the empty cell nearest the port.
+    /** @p q takes the port cell (OccupancyGrid::moveInto); returns
+     *  fetchToPortCost's beats.
      *
      * Unlike line SAM there is no direct data-data surgery in a dense
      * point SAM: two-qubit operands always route via the port (the
      * paper's Sec. V-C: in-memory ops "skip the pick into the CR", not
      * the pick to the port). */
-    void commitFetchToPort(QubitId q);
+    std::int64_t commitFetchToPort(QubitId q);
 
   private:
     Coord homeOrNearest(QubitId q) const;
     Coord storeDestination(QubitId q, bool locality) const;
     std::int64_t pickCost(const Coord &from, const Coord &to) const;
+    /** seekCost / fetchToPortCost for a qubit sitting at @p pos. */
+    std::int64_t seekCostAt(const Coord &pos) const;
+    std::int64_t fetchCostAt(const Coord &pos) const;
+    std::int64_t storeCostTo(const Coord &dest) const;
 
     /** Home cell of @p q; {-1,-1} when never stored (flat by QubitId,
      *  same layout argument as OccupancyGrid::positions_). */
@@ -109,20 +118,6 @@ class PointSamBank
     Coord scan_;
     Coord port_;
     std::vector<Coord> homes_;
-
-    /**
-     * Memo for homeOrNearest: the cost model asks for the same
-     * destination twice per store (storeCost then commitStore), and the
-     * answer only changes when the grid mutates — keyed on
-     * OccupancyGrid::version() so invalidation is exact.
-     */
-    struct HomeCache
-    {
-        std::uint64_t version = 0;
-        QubitId q = kNoQubit;
-        Coord dest;
-    };
-    mutable HomeCache homeCache_;
 };
 
 } // namespace lsqca

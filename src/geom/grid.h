@@ -31,6 +31,8 @@ inline constexpr QubitId kNoQubit = -1;
  * hole walk reports each shifted occupant). Detached by default; the
  * simulator attaches one per bank only while observers are present, so
  * the unobserved path pays a single never-taken branch per mutation.
+ * Events fire mid-walk, before the grid's index is brought up to date:
+ * a listener records, it does not query the grid.
  */
 class CellListener
 {
@@ -48,11 +50,17 @@ class CellListener
  * know about scan cells or latency — that policy lives in src/arch.
  *
  * Nearest-empty queries are served by an incrementally maintained
- * OccupancyIndex (updated on every place/remove/relocate) instead of a
- * full-grid scan; results are bit-identical to the scan, including
- * tie-breaking. A monotonic version() counter bumps on every mutation
- * so callers (the bank cost models) can cache derived lookups and
- * invalidate them precisely.
+ * OccupancyIndex instead of a full-grid scan; results are bit-identical
+ * to the scan, including tie-breaking. The index only changes when the
+ * set of empty cells does, which emptySetVersion() counts, so the last
+ * nearestEmpty answer is memoized on (target, emptySetVersion()). A
+ * hole walk that merely rotates occupants (moveInto) leaves the empty
+ * set, the index and the memo untouched. A monotonic version() counter
+ * bumps on every mutation, rotations included.
+ *
+ * The memo makes nearestEmpty() a mutating const member: a grid must
+ * not be queried from two threads at once (each simulation owns its
+ * banks, so none is).
  *
  * The cell and position accessors (contains, at, find, locate and the
  * private index/positionSlot) are defined in this header: the bank cost
@@ -125,7 +133,14 @@ class OccupancyGrid
      * being stable, so it is part of the API, not an implementation
      * detail.
      */
-    std::optional<Coord> nearestEmpty(const Coord &target) const;
+    std::optional<Coord> nearestEmpty(const Coord &target) const
+    {
+        if (nearest_.emptySetVersion != emptySetVersion_ ||
+            !(nearest_.target == target))
+            nearest_ = {emptySetVersion_, target,
+                        empties_.nearestEmpty(target)};
+        return nearest_.hole;
+    }
 
     /**
      * Empty cell in row @p row minimizing |col - target_col|, or nullopt
@@ -144,17 +159,45 @@ class OccupancyGrid
      * one step toward the old hole — the sliding-puzzle insertion used
      * by locality-aware placement in a near-full memory.
      *
+     * Every intermediate cell is vacated and refilled, so the index
+     * sees only the endpoints (the hole fills, @p dest empties).
+     *
      * @return the number of hole steps (0 when @p dest was empty).
      * @pre the grid has at least one empty cell.
      */
     std::int32_t makeRoomAt(const Coord &dest);
 
     /**
-     * Monotonic mutation counter: bumped by place/remove/relocate (and
-     * therefore by makeRoomAt). Cache derived lookups keyed on this to
+     * Move placed qubit @p q into cell @p dest: the result, the cell
+     * events and their order are those of `remove(q); makeRoomAt(dest);
+     * place(q, dest)`, without that sequence's index churn.
+     *
+     *  - @p q already at @p dest: nothing moves (the listener still
+     *    sees q vacate and re-occupy @p dest).
+     *  - @p q's own cell is the hole makeRoomAt would pick once q left
+     *    it (nearest to @p dest under the nearestEmpty tie-break): the
+     *    walk rotates q and the occupants on the path, and the set of
+     *    empty cells is unchanged — no index update, no memo loss.
+     *  - otherwise: the three-call sequence.
+     *
+     * @return the number of hole steps.
+     * @pre q is placed and contains(dest).
+     */
+    std::int32_t moveInto(QubitId q, const Coord &dest);
+
+    /**
+     * Monotonic mutation counter: bumped by every place/remove/relocate,
+     * hole walk and rotation. Cache derived lookups keyed on this to
      * invalidate them exactly when the occupancy changes.
      */
     std::uint64_t version() const { return version_; }
+
+    /**
+     * Counter bumped exactly when the set of empty cells changes
+     * (place, remove, relocate, a makeRoomAt walk), never by a
+     * moveInto rotation: the nearestEmpty memo's key.
+     */
+    std::uint64_t emptySetVersion() const { return emptySetVersion_; }
 
     /**
      * Attach (or detach, with nullptr) the cell-event listener. The
@@ -174,8 +217,15 @@ class OccupancyGrid
                static_cast<std::size_t>(c.col);
     }
 
-    /** relocate() sans notification; returns the vacated cell. */
-    Coord relocateImpl(QubitId q, const Coord &to);
+    /**
+     * Shift every occupant on the rows-first Manhattan path from the
+     * empty cell @p hole to @p dest one step toward @p hole, leaving
+     * @p dest empty. Updates cells_/positions_ and notifies the
+     * listener; the caller owns the index and the counters.
+     * @return the number of steps.
+     * @pre every path cell after @p hole is occupied.
+     */
+    std::int32_t shiftPath(Coord hole, const Coord &dest);
 
     /** positions_ slot for @p q, grown on demand; {-1,-1} = unplaced. */
     Coord &positionSlot(QubitId q)
@@ -191,6 +241,7 @@ class OccupancyGrid
     std::int32_t cols_;
     std::int32_t occupied_ = 0;
     std::uint64_t version_ = 0;
+    std::uint64_t emptySetVersion_ = 0;
     std::vector<QubitId> cells_;
     /**
      * Qubit -> cell, indexed by QubitId (program variable indices are
@@ -200,6 +251,16 @@ class OccupancyGrid
      */
     std::vector<Coord> positions_;
     OccupancyIndex empties_;
+
+    /** Last nearestEmpty answer; the version sentinel never matches. */
+    struct NearestMemo
+    {
+        std::uint64_t emptySetVersion = ~std::uint64_t{0};
+        Coord target;
+        std::optional<Coord> hole;
+    };
+    mutable NearestMemo nearest_;
+
     CellListener *listener_ = nullptr;
 };
 

@@ -400,10 +400,12 @@ class Machine
         return *banks_[static_cast<std::size_t>(bankOf(m))];
     }
 
-    // Cost-then-commit pairs against a caller-resolved bank reference:
-    // each exec path looks its bank up once per instruction instead of
-    // once per cost/commit call (the dispatch indirection showed up in
-    // the point/line simulate() profiles next to the scans themselves).
+    // One bank call per operation against a caller-resolved bank
+    // reference: each commit returns the beats its cost query would
+    // have, so the qubit's position is looked up once, and each exec
+    // path looks its bank up once per instruction (the dispatch
+    // indirection showed up in the point/line simulate() profiles next
+    // to the scans themselves).
     // Each helper also owns its latency-split attribution, so every
     // exec path charges the right component without repeating itself
     // (the `if constexpr` strips it from the unobserved instantiation).
@@ -411,8 +413,7 @@ class Machine
     std::int64_t
     takeLoad(Bank &b, std::int32_t m)
     {
-        const std::int64_t cost = b.loadCost(m);
-        b.commitLoad(m);
+        const std::int64_t cost = b.commitLoad(m);
         if constexpr (OBSERVE)
             split_.load += cost;
         return cost;
@@ -421,8 +422,7 @@ class Machine
     std::int64_t
     takeStore(Bank &b, std::int32_t m)
     {
-        const std::int64_t cost = b.storeCost(m, cfg_.localityStore);
-        b.commitStore(m, cfg_.localityStore);
+        const std::int64_t cost = b.commitStore(m, cfg_.localityStore);
         if constexpr (OBSERVE)
             split_.store += cost;
         return cost;
@@ -443,14 +443,12 @@ class Machine
     takeInMem1q(Bank &b, std::int32_t m)
     {
         if constexpr (KIND == SamKind::Line) {
-            const std::int64_t cost = b.alignCost(m);
-            b.commitAlign(m);
+            const std::int64_t cost = b.commitAlign(m);
             if constexpr (OBSERVE)
                 split_.align += cost;
             return cost;
         } else {
-            const std::int64_t cost = b.seekCost(m);
-            b.commitSeek(m);
+            const std::int64_t cost = b.commitSeek(m);
             if constexpr (OBSERVE)
                 split_.seek += cost;
             return cost;
@@ -462,14 +460,12 @@ class Machine
     takeInMem2q(Bank &b, std::int32_t m)
     {
         if constexpr (KIND == SamKind::Line) {
-            const std::int64_t cost = b.alignCost(m);
-            b.commitAlign(m);
+            const std::int64_t cost = b.commitAlign(m);
             if constexpr (OBSERVE)
                 split_.align += cost;
             return cost;
         } else {
-            const std::int64_t cost = b.fetchToPortCost(m);
-            b.commitFetchToPort(m);
+            const std::int64_t cost = b.commitFetchToPort(m);
             if constexpr (OBSERVE)
                 split_.pick += cost;
             return cost;
@@ -857,8 +853,7 @@ class Machine
                     // Extension: lattice surgery straight between two
                     // data cells sharing a line; only the gap
                     // repositions.
-                    motion = b.directSurgeryCost(inst.m0, inst.m1);
-                    b.commitDirectSurgery(inst.m0, inst.m1);
+                    motion = b.commitDirectSurgery(inst.m0, inst.m1);
                     if constexpr (OBSERVE)
                         split_.align += motion;
                     end = start + motion + surgery2;
@@ -867,20 +862,15 @@ class Machine
                     // operand into the CR, touch the other in memory,
                     // and store the loaded one back — the
                     // locality-aware store drops it into the partner's
-                    // line (Sec. V-B pairing). Each operand's load cost
-                    // is computed once and reused for both the
-                    // comparison and the commit path.
-                    const std::int64_t ld0 = b.loadCost(inst.m0);
-                    const std::int64_t ld1 = b.loadCost(inst.m1);
-                    const bool load0 = ld0 <= ld1;
+                    // line (Sec. V-B pairing). The load-cost queries
+                    // only pick the operand; takeLoad charges it.
+                    const bool load0 =
+                        b.loadCost(inst.m0) <= b.loadCost(inst.m1);
                     const std::int32_t loaded =
                         load0 ? inst.m0 : inst.m1;
                     const std::int32_t in_mem =
                         load0 ? inst.m1 : inst.m0;
-                    const std::int64_t ld = load0 ? ld0 : ld1;
-                    b.commitLoad(loaded);
-                    if constexpr (OBSERVE)
-                        split_.load += ld;
+                    const std::int64_t ld = takeLoad(b, loaded);
                     const std::int64_t pos =
                         takeInMem2q(b, in_mem);
                     const std::int64_t st = takeStore(b, loaded);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 #include <string>
@@ -233,9 +234,10 @@ expectSameLayout(const Bank &opt, const RefBank &ref, std::int32_t n,
     for (QubitId q = 0; q < n; ++q) {
         ASSERT_EQ(opt.holds(q), ref.holds(q))
             << "seed " << seed << " step " << step << " qubit " << q;
-        if (opt.holds(q))
+        if (opt.holds(q)) {
             ASSERT_EQ(opt.positionOf(q), ref.positionOf(q))
                 << "seed " << seed << " step " << step << " qubit " << q;
+        }
     }
 }
 
@@ -267,12 +269,19 @@ TEST_P(PointSamDifferential, BitIdenticalToReferenceOracle)
         ASSERT_EQ(opt.holds(q), ref.holds(q))
             << "seed " << seed << " step " << step;
         const bool resident = opt.holds(q);
+        // Half the commits run without the optimized cost query before
+        // them, so neither path leans on the other's memoized lookups.
+        const bool ask = rng.chance(0.5);
         switch (rng.below(4)) {
           case 0:
             if (resident && in_cr.size() < cr_limit) {
-                ASSERT_EQ(opt.loadCost(q), ref.loadCost(q))
+                const std::int64_t want = ref.loadCost(q);
+                if (ask) {
+                    ASSERT_EQ(opt.loadCost(q), want)
+                        << "seed " << seed << " step " << step;
+                }
+                ASSERT_EQ(opt.commitLoad(q), want)
                     << "seed " << seed << " step " << step;
-                opt.commitLoad(q);
                 ref.commitLoad(q);
                 in_cr.insert(q);
             }
@@ -280,12 +289,16 @@ TEST_P(PointSamDifferential, BitIdenticalToReferenceOracle)
           case 1:
             if (!resident && in_cr.count(q)) {
                 const bool locality = rng.chance(0.5);
-                ASSERT_EQ(opt.storeCost(q, locality),
-                          ref.storeCost(q, locality))
+                const std::int64_t want = ref.storeCost(q, locality);
+                if (ask) {
+                    ASSERT_EQ(opt.storeCost(q, locality), want)
+                        << "seed " << seed << " step " << step
+                        << " locality " << locality;
+                }
+                ASSERT_EQ(opt.commitStore(q, locality), want)
                     << "seed " << seed << " step " << step
                     << " locality " << locality;
-                ASSERT_EQ(opt.commitStore(q, locality),
-                          ref.commitStore(q, locality))
+                ASSERT_EQ(opt.positionOf(q), ref.commitStore(q, locality))
                     << "seed " << seed << " step " << step
                     << " locality " << locality;
                 in_cr.erase(q);
@@ -293,17 +306,25 @@ TEST_P(PointSamDifferential, BitIdenticalToReferenceOracle)
             break;
           case 2:
             if (resident) {
-                ASSERT_EQ(opt.seekCost(q), ref.seekCost(q))
+                const std::int64_t want = ref.seekCost(q);
+                if (ask) {
+                    ASSERT_EQ(opt.seekCost(q), want)
+                        << "seed " << seed << " step " << step;
+                }
+                ASSERT_EQ(opt.commitSeek(q), want)
                     << "seed " << seed << " step " << step;
-                opt.commitSeek(q);
                 ref.commitSeek(q);
             }
             break;
           default:
             if (resident) {
-                ASSERT_EQ(opt.fetchToPortCost(q), ref.fetchToPortCost(q))
+                const std::int64_t want = ref.fetchToPortCost(q);
+                if (ask) {
+                    ASSERT_EQ(opt.fetchToPortCost(q), want)
+                        << "seed " << seed << " step " << step;
+                }
+                ASSERT_EQ(opt.commitFetchToPort(q), want)
                     << "seed " << seed << " step " << step;
-                opt.commitFetchToPort(q);
                 ref.commitFetchToPort(q);
             }
             break;
@@ -316,8 +337,8 @@ TEST_P(PointSamDifferential, BitIdenticalToReferenceOracle)
             expectSameLayout(opt, ref, placed, seed, step);
     }
     for (QubitId q : in_cr) {
-        ASSERT_EQ(opt.storeCost(q, true), ref.storeCost(q, true));
-        ASSERT_EQ(opt.commitStore(q, true), ref.commitStore(q, true));
+        ASSERT_EQ(opt.commitStore(q, true), ref.storeCost(q, true));
+        ASSERT_EQ(opt.positionOf(q), ref.commitStore(q, true));
     }
     expectSameLayout(opt, ref, placed, seed, -1);
 }
@@ -351,12 +372,17 @@ TEST_P(LineSamDifferential, BitIdenticalToReferenceOracle)
         ASSERT_EQ(opt.holds(q), ref.holds(q))
             << "seed " << seed << " step " << step;
         const bool resident = opt.holds(q);
+        const bool ask = rng.chance(0.5);
         switch (rng.below(5)) {
           case 0:
             if (resident && in_cr.size() < cr_limit) {
-                ASSERT_EQ(opt.loadCost(q), ref.loadCost(q))
+                const std::int64_t want = ref.loadCost(q);
+                if (ask) {
+                    ASSERT_EQ(opt.loadCost(q), want)
+                        << "seed " << seed << " step " << step;
+                }
+                ASSERT_EQ(opt.commitLoad(q), want)
                     << "seed " << seed << " step " << step;
-                opt.commitLoad(q);
                 ref.commitLoad(q);
                 in_cr.insert(q);
             }
@@ -364,12 +390,16 @@ TEST_P(LineSamDifferential, BitIdenticalToReferenceOracle)
           case 1:
             if (!resident && in_cr.count(q)) {
                 const bool locality = rng.chance(0.5);
-                ASSERT_EQ(opt.storeCost(q, locality),
-                          ref.storeCost(q, locality))
+                const std::int64_t want = ref.storeCost(q, locality);
+                if (ask) {
+                    ASSERT_EQ(opt.storeCost(q, locality), want)
+                        << "seed " << seed << " step " << step
+                        << " locality " << locality;
+                }
+                ASSERT_EQ(opt.commitStore(q, locality), want)
                     << "seed " << seed << " step " << step
                     << " locality " << locality;
-                ASSERT_EQ(opt.commitStore(q, locality),
-                          ref.commitStore(q, locality))
+                ASSERT_EQ(opt.positionOf(q), ref.commitStore(q, locality))
                     << "seed " << seed << " step " << step
                     << " locality " << locality;
                 in_cr.erase(q);
@@ -377,9 +407,13 @@ TEST_P(LineSamDifferential, BitIdenticalToReferenceOracle)
             break;
           case 2:
             if (resident) {
-                ASSERT_EQ(opt.alignCost(q), ref.alignCost(q))
+                const std::int64_t want = ref.alignCost(q);
+                if (ask) {
+                    ASSERT_EQ(opt.alignCost(q), want)
+                        << "seed " << seed << " step " << step;
+                }
+                ASSERT_EQ(opt.commitAlign(q), want)
                     << "seed " << seed << " step " << step;
-                opt.commitAlign(q);
                 ref.commitAlign(q);
             }
             break;
@@ -399,10 +433,15 @@ TEST_P(LineSamDifferential, BitIdenticalToReferenceOracle)
                               ref.canDirectSurgery(q, other))
                         << "seed " << seed << " step " << step;
                     if (opt.canDirectSurgery(q, other)) {
-                        ASSERT_EQ(opt.directSurgeryCost(q, other),
-                                  ref.directSurgeryCost(q, other))
+                        const std::int64_t want =
+                            ref.directSurgeryCost(q, other);
+                        if (ask) {
+                            ASSERT_EQ(opt.directSurgeryCost(q, other),
+                                      want)
+                                << "seed " << seed << " step " << step;
+                        }
+                        ASSERT_EQ(opt.commitDirectSurgery(q, other), want)
                             << "seed " << seed << " step " << step;
-                        opt.commitDirectSurgery(q, other);
                         ref.commitDirectSurgery(q, other);
                     }
                 }
@@ -417,8 +456,8 @@ TEST_P(LineSamDifferential, BitIdenticalToReferenceOracle)
             expectSameLayout(opt, ref, placed, seed, step);
     }
     for (QubitId q : in_cr) {
-        ASSERT_EQ(opt.storeCost(q, true), ref.storeCost(q, true));
-        ASSERT_EQ(opt.commitStore(q, true), ref.commitStore(q, true));
+        ASSERT_EQ(opt.commitStore(q, true), ref.storeCost(q, true));
+        ASSERT_EQ(opt.positionOf(q), ref.commitStore(q, true));
     }
     expectSameLayout(opt, ref, placed, seed, -1);
 }
@@ -427,11 +466,37 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LineSamDifferential,
                          ::testing::Range(0, fuzzSeedCount()));
 
 /**
+ * Whole-layout agreement between the optimized grid and the reference:
+ * the occupant of every cell, the cell of every qubit id issued so far,
+ * and the empty-cell list the index reports.
+ */
+void
+expectSameGrid(const OccupancyGrid &opt,
+               const reference::ReferenceOccupancyGrid &ref,
+               QubitId issued, std::uint64_t seed, int step)
+{
+    ASSERT_EQ(opt.occupiedCount(), ref.occupiedCount())
+        << "seed " << seed << " step " << step;
+    for (std::int32_t r = 0; r < opt.rows(); ++r)
+        for (std::int32_t c = 0; c < opt.cols(); ++c)
+            ASSERT_EQ(opt.at({r, c}), ref.at({r, c}))
+                << "seed " << seed << " step " << step << " cell "
+                << Coord{r, c};
+    for (QubitId q = 0; q < issued; ++q)
+        ASSERT_EQ(opt.find(q), ref.find(q))
+            << "seed " << seed << " step " << step << " qubit " << q;
+    ASSERT_EQ(opt.emptyCells(), ref.emptyCells())
+        << "seed " << seed << " step " << step;
+}
+
+/**
  * Grid-level differential: the incremental OccupancyIndex behind
  * OccupancyGrid must answer nearestEmpty / nearestEmptyInRow /
  * emptyCells / makeRoomAt exactly like the reference scan for random
  * occupancy patterns and random targets (including targets outside
- * the grid, which the scan handles by plain distance).
+ * the grid, which the scan handles by plain distance), and moveInto
+ * must leave the layout the reference's remove + makeRoomAt + place
+ * leaves. Every mutating op is followed by a whole-layout comparison.
  */
 class GridDifferential : public ::testing::TestWithParam<int>
 {
@@ -446,12 +511,28 @@ TEST_P(GridDifferential, IndexMatchesReferenceScan)
     OccupancyGrid opt(rows, cols);
     reference::ReferenceOccupancyGrid ref(rows, cols);
     QubitId next_q = 0;
+    const auto randomResident = [&] {
+        QubitId q;
+        do {
+            q = static_cast<QubitId>(
+                rng.below(static_cast<std::uint64_t>(next_q)));
+        } while (!ref.find(q).has_value());
+        return q;
+    };
+    const auto randomCell = [&] {
+        return Coord{
+            static_cast<std::int32_t>(
+                rng.below(static_cast<std::uint64_t>(rows))),
+            static_cast<std::int32_t>(
+                rng.below(static_cast<std::uint64_t>(cols)))};
+    };
 
     for (int step = 0; step < 600; ++step) {
         const Coord target{
             static_cast<std::int32_t>(rng.between(-2, rows + 1)),
             static_cast<std::int32_t>(rng.between(-2, cols + 1))};
-        switch (rng.below(5)) {
+        bool mutated = true;
+        switch (rng.below(6)) {
           case 0: { // place at a random empty cell
             const auto empties = ref.emptyCells();
             if (!empties.empty()) {
@@ -464,11 +545,7 @@ TEST_P(GridDifferential, IndexMatchesReferenceScan)
           }
           case 1: { // remove a random resident qubit
             if (ref.occupiedCount() > 0) {
-                QubitId q;
-                do {
-                    q = static_cast<QubitId>(rng.below(
-                        static_cast<std::uint64_t>(next_q)));
-                } while (!ref.find(q).has_value());
+                const QubitId q = randomResident();
                 ASSERT_EQ(opt.remove(q), ref.remove(q))
                     << "seed " << seed << " step " << step;
             }
@@ -476,22 +553,45 @@ TEST_P(GridDifferential, IndexMatchesReferenceScan)
           }
           case 2: { // makeRoomAt an in-grid cell
             if (ref.emptyCount() > 0) {
-                const Coord dest{
-                    static_cast<std::int32_t>(rng.below(
-                        static_cast<std::uint64_t>(rows))),
-                    static_cast<std::int32_t>(rng.below(
-                        static_cast<std::uint64_t>(cols)))};
+                const Coord dest = randomCell();
                 ASSERT_EQ(opt.makeRoomAt(dest), ref.makeRoomAt(dest))
                     << "seed " << seed << " step " << step;
             }
             break;
           }
-          case 3:
+          case 3: { // moveInto a random cell or one next to the qubit
+            if (ref.occupiedCount() > 0) {
+                const QubitId q = randomResident();
+                Coord dest = randomCell();
+                if (rng.chance(0.5)) {
+                    // Short moves on a full-ish grid are the rotations.
+                    dest = ref.locate(q);
+                    dest.row = std::clamp<std::int32_t>(
+                        dest.row + static_cast<std::int32_t>(
+                                       rng.between(-1, 1)),
+                        0, rows - 1);
+                    dest.col = std::clamp<std::int32_t>(
+                        dest.col + static_cast<std::int32_t>(
+                                       rng.between(-1, 1)),
+                        0, cols - 1);
+                }
+                ref.remove(q);
+                const std::int32_t want = ref.makeRoomAt(dest);
+                ref.place(q, dest);
+                ASSERT_EQ(opt.moveInto(q, dest), want)
+                    << "seed " << seed << " step " << step << " qubit "
+                    << q << " dest " << dest;
+            }
+            break;
+          }
+          case 4:
+            mutated = false;
             ASSERT_EQ(opt.nearestEmpty(target), ref.nearestEmpty(target))
                 << "seed " << seed << " step " << step << " target "
                 << target;
             break;
           default: {
+            mutated = false;
             const auto row = static_cast<std::int32_t>(
                 rng.below(static_cast<std::uint64_t>(rows)));
             ASSERT_EQ(opt.nearestEmptyInRow(row, target.col),
@@ -501,10 +601,11 @@ TEST_P(GridDifferential, IndexMatchesReferenceScan)
             break;
           }
         }
-        ASSERT_EQ(opt.occupiedCount(), ref.occupiedCount())
-            << "seed " << seed << " step " << step;
-        if (step % 64 == 0)
-            ASSERT_EQ(opt.emptyCells(), ref.emptyCells())
+        if (mutated)
+            ASSERT_NO_FATAL_FAILURE(
+                expectSameGrid(opt, ref, next_q, seed, step));
+        else
+            ASSERT_EQ(opt.occupiedCount(), ref.occupiedCount())
                 << "seed " << seed << " step " << step;
     }
 }

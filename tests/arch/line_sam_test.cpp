@@ -101,8 +101,8 @@ TEST(LineSam, LocalityStorePrefersGapAdjacentRow)
     const std::int64_t cost = bank.storeCost(7, true);
     Latencies lat;
     EXPECT_EQ(cost, lat.longMove + lat.move); // zero shifts
-    const Coord dest = bank.commitStore(7, true);
-    EXPECT_EQ(dest.row, 1);
+    EXPECT_EQ(bank.commitStore(7, true), cost);
+    EXPECT_EQ(bank.positionOf(7).row, 1);
 }
 
 TEST(LineSam, HomeStoreReturnsToOriginalCell)
@@ -111,8 +111,8 @@ TEST(LineSam, HomeStoreReturnsToOriginalCell)
     bank.placeInitial(iota(24));
     const Coord home = bank.positionOf(20);
     bank.commitLoad(20);
-    const Coord dest = bank.commitStore(20, /*locality=*/false);
-    EXPECT_EQ(dest, home);
+    bank.commitStore(20, /*locality=*/false);
+    EXPECT_EQ(bank.positionOf(20), home);
 }
 
 TEST(LineSam, StoreAfterDistantLoadPairsQubitsInOneRow)
@@ -124,7 +124,8 @@ TEST(LineSam, StoreAfterDistantLoadPairsQubitsInOneRow)
     bank.commitLoad(95); // bottom row; gap parks there
     bank.commitStore(95, true);
     bank.commitLoad(91);
-    const Coord d2 = bank.commitStore(91, true);
+    bank.commitStore(91, true);
+    const Coord d2 = bank.positionOf(91);
     const Coord d1 = bank.positionOf(95);
     EXPECT_LE(std::abs(d1.row - d2.row), 1);
 }
@@ -147,7 +148,8 @@ TEST(LineSam, OccupancyBookkeeping)
 // into the gap + the constant long-range slide; stores add the same
 // shift term for the destination row. Cost drift fails here with a
 // readable per-qubit diff before the differential fuzz harness points
-// at a seed.
+// at a seed. Each commit must charge exactly the tabled cost, so the
+// commits are checked on fresh copies of the layout too.
 
 TEST(LineSamGolden, FourByFiveLoadCosts)
 {
@@ -157,8 +159,13 @@ TEST(LineSamGolden, FourByFiveLoadCosts)
     bank.placeInitial(iota(20));
     const std::int64_t expected[20] = {3, 3, 3, 3, 3, 4, 4, 4, 4, 4,
                                        5, 5, 5, 5, 5, 6, 6, 6, 6, 6};
-    for (QubitId q = 0; q < 20; ++q)
+    for (QubitId q = 0; q < 20; ++q) {
         EXPECT_EQ(bank.loadCost(q), expected[q]) << "qubit " << q;
+        LineSamBank loaded = bank;
+        EXPECT_EQ(loaded.commitLoad(q), expected[q]) << "qubit " << q;
+        LineSamBank aligned = bank;
+        EXPECT_EQ(aligned.commitAlign(q), expected[q] - 3) << "qubit " << q;
+    }
     for (std::int32_t r = 0; r < 4; ++r)
         EXPECT_EQ(bank.alignCostToRow(r), r) << "row " << r;
 }
@@ -174,8 +181,11 @@ TEST(LineSamGolden, FourByFiveStoreAfterLoad)
     EXPECT_EQ(bank.gap(), 2);
     EXPECT_EQ(bank.storeCost(13, /*locality=*/false), 3);
     EXPECT_EQ(bank.storeCost(13, /*locality=*/true), 3);
-    const Coord dest = bank.commitStore(13, true);
-    EXPECT_EQ(dest, (Coord{2, 3}));
+    LineSamBank home = bank;
+    EXPECT_EQ(home.commitStore(13, /*locality=*/false), 3);
+    EXPECT_EQ(home.positionOf(13), (Coord{2, 3}));
+    EXPECT_EQ(bank.commitStore(13, /*locality=*/true), 3);
+    EXPECT_EQ(bank.positionOf(13), (Coord{2, 3}));
     EXPECT_EQ(bank.gap(), 2);
 }
 
@@ -191,8 +201,11 @@ TEST(LineSamGolden, FiveByFiveCustomLatencies)
     const std::int64_t expected[25] = {7,  7,  7,  7,  7,  9,  9,  9,  9,
                                        9,  11, 11, 11, 11, 11, 13, 13, 13,
                                        13, 13, 15, 15, 15, 15, 15};
-    for (QubitId q = 0; q < 25; ++q)
+    for (QubitId q = 0; q < 25; ++q) {
         EXPECT_EQ(bank.loadCost(q), expected[q]) << "qubit " << q;
+        LineSamBank loaded = bank;
+        EXPECT_EQ(loaded.commitLoad(q), expected[q]) << "qubit " << q;
+    }
 }
 
 TEST(LineSam, CapacityValidation)
@@ -206,8 +219,9 @@ TEST(LineSam, AlignCommitMovesGap)
 {
     LineSamBank bank(25, Latencies{});
     bank.placeInitial(iota(25));
-    EXPECT_GT(bank.alignCost(22), 0); // row 4
-    bank.commitAlign(22);
+    const std::int64_t align = bank.alignCost(22); // row 4
+    EXPECT_GT(align, 0);
+    EXPECT_EQ(bank.commitAlign(22), align);
     EXPECT_EQ(bank.alignCost(22), 0);
     // Row 0 now distant: gap parked at 4 -> min(|4-0|, |4-1|) shifts.
     EXPECT_EQ(bank.alignCost(2), 3);

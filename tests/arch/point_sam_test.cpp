@@ -114,7 +114,7 @@ TEST(PointSam, LocalityStoreLandsNearPort)
     bank.placeInitial(iota(24));
     bank.commitLoad(20); // frees a far cell, scan back at port
     const std::int64_t cost = bank.storeCost(20, /*locality=*/true);
-    const Coord dest = bank.commitStore(20, true);
+    EXPECT_EQ(bank.commitStore(20, true), cost);
     // Nearest empty to the port is the freed far cell or the port
     // itself; with only one empty it's that cell. After the earlier
     // load the only empty is q20's old cell... locality store must pick
@@ -122,7 +122,6 @@ TEST(PointSam, LocalityStoreLandsNearPort)
     EXPECT_TRUE(bank.holds(20));
     EXPECT_EQ(bank.occupancy(), 24);
     EXPECT_GE(cost, 1); // at least the CR-exit move
-    (void)dest;
 }
 
 TEST(PointSam, LocalityStoreBeatsHomeStoreWhenHomeIsFar)
@@ -172,7 +171,7 @@ TEST(PointSam, SeekTracksScanPosition)
     bank.placeInitial(iota(24));
     const QubitId q = 15;
     const std::int64_t first = bank.seekCost(q);
-    bank.commitSeek(q);
+    EXPECT_EQ(bank.commitSeek(q), first);
     // Scan is now adjacent: the repeat seek is free.
     EXPECT_EQ(bank.seekCost(q), 0);
     EXPECT_LE(bank.seekCost(q), first);
@@ -186,7 +185,7 @@ TEST(PointSam, FetchToPortRelocatesQubit)
     const std::int64_t fetch = bank.fetchToPortCost(q);
     const std::int64_t load = bank.loadCost(q);
     EXPECT_EQ(load, fetch + 1); // load = fetch + CR entry move
-    bank.commitFetchToPort(q);
+    EXPECT_EQ(bank.commitFetchToPort(q), fetch);
     EXPECT_TRUE(bank.holds(q));
     // Now port-adjacent: the next fetch is near-free.
     EXPECT_LE(bank.fetchToPortCost(q), 6);
@@ -198,7 +197,9 @@ TEST(PointSam, FetchToPortRelocatesQubit)
 // Sec. V cost model (seek = manhattan - 1, pick = 6/5 beats per
 // diagonal/straight compound move with one empty, 4/3 with two, +1 CR
 // entry). Any cost drift fails here with a readable per-qubit diff
-// before the differential fuzz harness points at a seed.
+// before the differential fuzz harness points at a seed. Each commit
+// must charge exactly the tabled cost, so the commits are checked on
+// fresh copies of the layout too.
 
 TEST(PointSamGolden, ThreeByThreeLoadCosts)
 {
@@ -213,6 +214,17 @@ TEST(PointSamGolden, ThreeByThreeLoadCosts)
     for (QubitId q = 0; q < 8; ++q) {
         EXPECT_EQ(bank.loadCost(q), expected_load[q]) << "qubit " << q;
         EXPECT_EQ(bank.seekCost(q), expected_seek[q]) << "qubit " << q;
+        // fetch-to-port = load minus the CR entry move.
+        EXPECT_EQ(bank.fetchToPortCost(q), expected_load[q] - 1)
+            << "qubit " << q;
+        PointSamBank loaded = bank;
+        EXPECT_EQ(loaded.commitLoad(q), expected_load[q]) << "qubit " << q;
+        PointSamBank sought = bank;
+        EXPECT_EQ(sought.commitSeek(q), expected_seek[q]) << "qubit " << q;
+        PointSamBank fetched = bank;
+        EXPECT_EQ(fetched.commitFetchToPort(q), expected_load[q] - 1)
+            << "qubit " << q;
+        EXPECT_EQ(fetched.positionOf(q), fetched.portAnchor());
     }
 }
 
@@ -227,9 +239,12 @@ TEST(PointSamGolden, ThreeByThreeStoreCosts)
     bank.commitLoad(4);
     EXPECT_EQ(bank.storeCost(4, /*locality=*/false), 7);
     EXPECT_EQ(bank.storeCost(4, /*locality=*/true), 1);
-    const Coord dest = bank.commitStore(4, true);
-    EXPECT_EQ(dest, bank.portAnchor());
-    EXPECT_EQ(bank.scanPosition(), dest);
+    PointSamBank home = bank;
+    EXPECT_EQ(home.commitStore(4, /*locality=*/false), 7);
+    EXPECT_EQ(home.positionOf(4), (Coord{1, 2}));
+    EXPECT_EQ(bank.commitStore(4, /*locality=*/true), 1);
+    EXPECT_EQ(bank.positionOf(4), bank.portAnchor());
+    EXPECT_EQ(bank.scanPosition(), bank.portAnchor());
 }
 
 TEST(PointSamGolden, ThreeByThreeTwoEmptyDiscount)
@@ -241,8 +256,11 @@ TEST(PointSamGolden, ThreeByThreeTwoEmptyDiscount)
     bank.commitLoad(0);
     bank.commitLoad(7);
     const std::int64_t expected[6] = {6, 10, 4, 8, 4, 6}; // q1..q6
-    for (QubitId q = 1; q < 7; ++q)
+    for (QubitId q = 1; q < 7; ++q) {
         EXPECT_EQ(bank.loadCost(q), expected[q - 1]) << "qubit " << q;
+        PointSamBank loaded = bank;
+        EXPECT_EQ(loaded.commitLoad(q), expected[q - 1]) << "qubit " << q;
+    }
 }
 
 TEST(PointSamGolden, FiveByFiveLoadCosts)
@@ -253,8 +271,11 @@ TEST(PointSamGolden, FiveByFiveLoadCosts)
     const std::int64_t expected[24] = {12, 14, 16, 22, 28, 6,  8,  14,
                                        20, 26, 6,  12, 18, 24, 6,  8,
                                        14, 20, 26, 12, 14, 16, 22, 28};
-    for (QubitId q = 0; q < 24; ++q)
+    for (QubitId q = 0; q < 24; ++q) {
         EXPECT_EQ(bank.loadCost(q), expected[q]) << "qubit " << q;
+        PointSamBank loaded = bank;
+        EXPECT_EQ(loaded.commitLoad(q), expected[q]) << "qubit " << q;
+    }
 }
 
 TEST(PointSamGolden, ThreeByThreeCustomLatencies)
@@ -268,8 +289,11 @@ TEST(PointSamGolden, ThreeByThreeCustomLatencies)
     PointSamBank bank(8, lat);
     bank.placeInitial(iota(8));
     const std::int64_t expected[8] = {6, 11, 17, 6, 12, 6, 11, 17};
-    for (QubitId q = 0; q < 8; ++q)
+    for (QubitId q = 0; q < 8; ++q) {
         EXPECT_EQ(bank.loadCost(q), expected[q]) << "qubit " << q;
+        PointSamBank loaded = bank;
+        EXPECT_EQ(loaded.commitLoad(q), expected[q]) << "qubit " << q;
+    }
 }
 
 TEST(PointSam, CapacityValidation)

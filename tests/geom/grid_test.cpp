@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <limits>
+#include <ostream>
+#include <vector>
 
 #include "common/error.h"
 
@@ -161,26 +164,30 @@ TEST(OccupancyGrid, NearestEmptyInRowTieBreaksTowardSmallerCol)
     EXPECT_EQ(g.nearestEmptyInRow(0, 2), (Coord{0, 0}));
 }
 
+/** Row-major scan with a strict "closer than best" test: the contract. */
+std::optional<Coord>
+bruteNearest(const OccupancyGrid &g, const Coord &target)
+{
+    std::optional<Coord> best;
+    std::int32_t best_dist = std::numeric_limits<std::int32_t>::max();
+    for (std::int32_t r = 0; r < g.rows(); ++r)
+        for (std::int32_t c = 0; c < g.cols(); ++c) {
+            if (!g.isEmptyCell({r, c}))
+                continue;
+            const std::int32_t d = manhattan({r, c}, target);
+            if (d < best_dist) {
+                best_dist = d;
+                best = Coord{r, c};
+            }
+        }
+    return best;
+}
+
 TEST(OccupancyGrid, TieOrderSurvivesChurn)
 {
     // Occupy/vacate churn must leave the index answering ties exactly
     // like a fresh scan: compare against a brute-force scan oracle
     // after every mutation.
-    auto brute = [](const OccupancyGrid &g, const Coord &target) {
-        std::optional<Coord> best;
-        std::int32_t best_dist = std::numeric_limits<std::int32_t>::max();
-        for (std::int32_t r = 0; r < g.rows(); ++r)
-            for (std::int32_t c = 0; c < g.cols(); ++c) {
-                if (!g.isEmptyCell({r, c}))
-                    continue;
-                const std::int32_t d = manhattan({r, c}, target);
-                if (d < best_dist) {
-                    best_dist = d;
-                    best = Coord{r, c};
-                }
-            }
-        return best;
-    };
     OccupancyGrid g(4, 4);
     QubitId q = 1;
     for (std::int32_t r = 0; r < 4; ++r)
@@ -194,7 +201,7 @@ TEST(OccupancyGrid, TieOrderSurvivesChurn)
     g.place(17, {1, 1});
     for (std::int32_t r = 0; r < 4; ++r)
         for (std::int32_t c = 0; c < 4; ++c)
-            EXPECT_EQ(g.nearestEmpty({r, c}), brute(g, {r, c}))
+            EXPECT_EQ(g.nearestEmpty({r, c}), bruteNearest(g, {r, c}))
                 << "target (" << r << "," << c << ")";
 }
 
@@ -216,6 +223,214 @@ TEST(OccupancyGrid, VersionBumpsOnEveryMutation)
     (void)g.nearestEmptyInRow(0, 0);
     (void)g.emptyCells();
     EXPECT_EQ(g.version(), v3);
+}
+
+TEST(OccupancyGrid, NearestEmptyMemoFollowsEveryMutation)
+{
+    // nearestEmpty memoizes its last answer on (target, empty-set
+    // counter). Each check first asks for the memo's key as the
+    // mutation left it — the previous check's last target {0,0}, or
+    // the cell a walk targeted — so a missed invalidation answers
+    // stale; then two more targets.
+    OccupancyGrid g(4, 4);
+    QubitId q = 0;
+    for (std::int32_t r = 0; r < 4; ++r)
+        for (std::int32_t c = 0; c < 4; ++c)
+            if (!(r == 3 && c == 3))
+                g.place(q++, {r, c}); // qubit id = 4 * row + col
+    const auto check = [&](const char *what, const Coord &key) {
+        for (const Coord t : {key, Coord{3, 0}, Coord{0, 0}})
+            EXPECT_EQ(g.nearestEmpty(t), bruteNearest(g, t))
+                << what << " target " << t;
+    };
+    check("initial", {0, 0});
+    g.remove(5); // (1,1)
+    check("remove", {0, 0});
+    g.place(q++, {1, 1});
+    check("place", {0, 0});
+    g.relocate(0, {3, 3});
+    check("relocate", {0, 0});
+    g.makeRoomAt({0, 3}); // walks the (0,0) hole across row 0
+    check("makeRoomAt", {0, 3});
+    std::uint64_t empties = g.emptySetVersion();
+    g.moveInto(g.at({3, 0}), {0, 2}); // the (0,3) hole is nearer: a walk
+    EXPECT_NE(g.emptySetVersion(), empties) << "not a walk";
+    check("moveInto walk", {0, 2});
+    empties = g.emptySetVersion();
+    const Coord hole = *g.nearestEmpty({3, 1}); // (3,0), q's old cell
+    g.moveInto(g.at({2, 1}), {3, 1}); // own cell wins the row tie
+    EXPECT_EQ(g.emptySetVersion(), empties) << "not a rotation";
+    EXPECT_EQ(*g.nearestEmpty({3, 1}), hole);
+    check("moveInto rotation", {3, 1});
+    g.remove(g.at({1, 0}));
+    check("remove after rotation", {0, 0});
+}
+
+// ---- moveInto -----------------------------------------------------------
+//
+// moveInto(q, dest) must leave exactly what remove(q); makeRoomAt(dest);
+// place(q, dest) leaves — layout, step count and the listener's event
+// sequence — in every branch. emptySetVersion() tells the branches apart:
+// only a rotation leaves it alone.
+
+struct CellEvent
+{
+    bool occupied;
+    QubitId q;
+    Coord c;
+
+    friend bool operator==(const CellEvent &, const CellEvent &) = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CellEvent &e)
+{
+    return os << (e.occupied ? "occupy " : "vacate ") << e.q << "@" << e.c;
+}
+
+class EventLog final : public CellListener
+{
+  public:
+    void
+    onCellOccupied(QubitId q, const Coord &c) override
+    {
+        events.push_back({true, q, c});
+    }
+
+    void
+    onCellVacated(QubitId q, const Coord &c) override
+    {
+        events.push_back({false, q, c});
+    }
+
+    std::vector<CellEvent> events;
+};
+
+/** rows x cols grid, every cell but @p holes filled with 100 + index. */
+OccupancyGrid
+filledExcept(std::int32_t rows, std::int32_t cols,
+             std::initializer_list<Coord> holes)
+{
+    OccupancyGrid g(rows, cols);
+    for (std::int32_t r = 0; r < rows; ++r)
+        for (std::int32_t c = 0; c < cols; ++c) {
+            bool hole = false;
+            for (const Coord &h : holes)
+                hole = hole || h == Coord{r, c};
+            if (!hole)
+                g.place(100 + r * cols + c, {r, c});
+        }
+    return g;
+}
+
+/**
+ * Run moveInto on a copy of @p start and the unfused sequence on
+ * another, assert they agree, and return whether the empty set changed.
+ */
+bool
+expectMoveIntoMatchesUnfused(const OccupancyGrid &start, const Coord &from,
+                             const Coord &dest)
+{
+    OccupancyGrid fused = start;
+    OccupancyGrid unfused = start;
+    EventLog fused_log;
+    EventLog unfused_log;
+    fused.setCellListener(&fused_log);
+    unfused.setCellListener(&unfused_log);
+    const QubitId q = start.at(from);
+
+    const std::uint64_t empties = fused.emptySetVersion();
+    const std::int32_t steps = fused.moveInto(q, dest);
+    unfused.remove(q);
+    const std::int32_t want = unfused.makeRoomAt(dest);
+    unfused.place(q, dest);
+
+    EXPECT_EQ(steps, want);
+    EXPECT_EQ(fused_log.events, unfused_log.events);
+    EXPECT_EQ(fused.locate(q), dest);
+    for (std::int32_t r = 0; r < start.rows(); ++r)
+        for (std::int32_t c = 0; c < start.cols(); ++c) {
+            EXPECT_EQ(fused.at({r, c}), unfused.at({r, c}))
+                << "cell " << Coord{r, c};
+            if (fused.at({r, c}) != kNoQubit) {
+                EXPECT_EQ(fused.locate(fused.at({r, c})), (Coord{r, c}));
+            }
+        }
+    EXPECT_EQ(fused.emptyCells(), unfused.emptyCells());
+    EXPECT_EQ(fused.occupiedCount(), unfused.occupiedCount());
+    // The memo and the index agree with a fresh scan afterwards.
+    for (std::int32_t r = 0; r < start.rows(); ++r)
+        for (std::int32_t c = 0; c < start.cols(); ++c)
+            EXPECT_EQ(fused.nearestEmpty({r, c}),
+                      bruteNearest(fused, {r, c}));
+    return fused.emptySetVersion() != empties;
+}
+
+TEST(OccupancyGridMoveInto, AlreadyAtDestinationMovesNothing)
+{
+    const OccupancyGrid g = filledExcept(3, 3, {{2, 2}});
+    OccupancyGrid moved = g;
+    const std::uint64_t version = moved.version();
+    EXPECT_EQ(moved.moveInto(moved.at({1, 0}), {1, 0}), 0);
+    EXPECT_EQ(moved.version(), version);
+    // The listener still sees the vacate/occupy pair of the unfused
+    // sequence.
+    EXPECT_FALSE(expectMoveIntoMatchesUnfused(g, {1, 0}, {1, 0}));
+}
+
+TEST(OccupancyGridMoveInto, OwnCellNearestIsARotation)
+{
+    // Hole at (2,2); q at (0,2) moves to (0,0): once q leaves, its own
+    // cell (2 away) beats the hole (4 away), so (0,1) and (0,0) shift
+    // right and the empty set is unchanged.
+    const OccupancyGrid g = filledExcept(3, 3, {{2, 2}});
+    EXPECT_FALSE(expectMoveIntoMatchesUnfused(g, {0, 2}, {0, 0}));
+    // A longer walk, rows first: up column 2, then along row 0.
+    const OccupancyGrid h = filledExcept(4, 4, {{3, 3}});
+    EXPECT_FALSE(expectMoveIntoMatchesUnfused(h, {2, 2}, {0, 0}));
+}
+
+TEST(OccupancyGridMoveInto, FullGridIsARotation)
+{
+    const OccupancyGrid g = filledExcept(2, 3, {});
+    EXPECT_FALSE(expectMoveIntoMatchesUnfused(g, {1, 2}, {0, 0}));
+}
+
+TEST(OccupancyGridMoveInto, NearerHoleWalksInstead)
+{
+    // Hole (1,0) is 1 from dest (0,0); q's cell (2,2) is 4 away: the
+    // hole walks up to dest and q's old cell stays empty.
+    const OccupancyGrid g = filledExcept(3, 3, {{1, 0}});
+    EXPECT_TRUE(expectMoveIntoMatchesUnfused(g, {2, 2}, {0, 0}));
+}
+
+TEST(OccupancyGridMoveInto, DistanceTiesBreakByRowThenColumn)
+{
+    // dest (1,1); q's cell and the hole are both 2 away (rows differ):
+    // the smaller row wins.
+    EXPECT_FALSE(expectMoveIntoMatchesUnfused(
+        filledExcept(3, 3, {{2, 0}}), {0, 2}, {1, 1}));
+    EXPECT_TRUE(expectMoveIntoMatchesUnfused(
+        filledExcept(3, 3, {{0, 2}}), {2, 0}, {1, 1}));
+    // Both 1 away in row 1: the smaller column wins.
+    EXPECT_FALSE(expectMoveIntoMatchesUnfused(
+        filledExcept(3, 3, {{1, 2}}), {1, 0}, {1, 1}));
+    EXPECT_TRUE(expectMoveIntoMatchesUnfused(
+        filledExcept(3, 3, {{1, 0}}), {1, 2}, {1, 1}));
+}
+
+TEST(OccupancyGridMoveInto, EmptyDestinationIsARelocation)
+{
+    const OccupancyGrid g = filledExcept(3, 3, {{2, 2}});
+    EXPECT_TRUE(expectMoveIntoMatchesUnfused(g, {0, 0}, {2, 2}));
+}
+
+TEST(OccupancyGridMoveInto, RejectsBadArguments)
+{
+    OccupancyGrid g = filledExcept(2, 2, {{1, 1}});
+    EXPECT_THROW(g.moveInto(7, {0, 0}), ConfigError); // not placed
+    EXPECT_THROW(g.moveInto(100, {2, 0}), ConfigError);
+    EXPECT_EQ(g.locate(100), (Coord{0, 0}));
 }
 
 TEST(OccupancyGrid, EmptyCellsRowMajor)
