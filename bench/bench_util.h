@@ -3,61 +3,43 @@
 
 /**
  * @file
- * Shared plumbing for the figure/table benches: argument parsing, spec
- * execution through the declarative experiment API (src/api), and CSV
- * mirroring. The figure benches build a SweepSpec (api/paper_specs.h),
- * run it through the same runSpec() entry point the `lsqca` CLI uses,
- * and only keep their table-rendering phase here.
+ * Shared plumbing for the table benches (fig07, fig08, table1, micro
+ * kernels): argument parsing and CSV mirroring. The paper's sweep
+ * figures are not benches: `lsqca run <builtin>` computes them and
+ * `lsqca render` prints their tables.
  */
 
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "api/registry.h"
-#include "api/spec.h"
-#include "common/error.h"
 #include "common/table.h"
-#include "sim/simulator.h"
 
 namespace lsqca::bench {
 
 /**
- * Parse "--csv <dir>", "--full", "--threads N", "--out <dir>",
- * "--smoke", "--shard i/N", "--timeout-seconds S", and
- * "--seed-check <fingerprint>" from argv. Unknown arguments, missing
- * values, and malformed numbers are fatal (exit 2) — a typo must not
- * silently run a different experiment.
+ * Parse "--csv <dir>", "--full", "--out <dir>" and "--smoke" from
+ * argv. Unknown arguments and missing values are fatal (exit 2) — a
+ * typo must not silently run a different experiment.
  */
 struct BenchArgs
 {
     std::optional<std::string> csvDir;
     bool full = false;
-    /** Sweep workers; 0 = hardware concurrency. */
-    std::int32_t threads = 0;
     /** Where BENCH_*.json lands. */
     std::string outDir = "bench/out";
     /** Reduced-size run for CI (micro_kernels). */
     bool smoke = false;
-    /** Contiguous sweep slice; tables are skipped when sharded. */
-    api::ShardRange shard;
-    /** Abort (exit 124) past this wall budget (0 = no limit). */
-    double timeoutSeconds = 0.0;
-    /** Expected shard fingerprint ("" = unchecked); see docs/SERVICE.md. */
-    std::string seedCheck;
 };
 
 [[noreturn]] inline void
 argError(const std::string &message)
 {
     std::cerr << "error: " << message
-              << "\n(supported: --csv <dir>, --full, --threads N,"
-                 " --out <dir>, --smoke, --shard i/N,"
-                 " --timeout-seconds S, --seed-check <fingerprint>)\n";
+              << "\n(supported: --csv <dir>, --full, --out <dir>,"
+                 " --smoke)\n";
     std::exit(2);
 }
 
@@ -71,93 +53,19 @@ parseArgs(int argc, char **argv)
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--csv") == 0) {
+        if (std::strcmp(argv[i], "--csv") == 0)
             args.csvDir = value(i);
-        } else if (std::strcmp(argv[i], "--full") == 0) {
+        else if (std::strcmp(argv[i], "--full") == 0)
             args.full = true;
-        } else if (std::strcmp(argv[i], "--threads") == 0) {
-            try {
-                args.threads = api::parseThreadCount(value(i));
-            } catch (const ConfigError &e) {
-                argError(e.what());
-            }
-        } else if (std::strcmp(argv[i], "--out") == 0) {
+        else if (std::strcmp(argv[i], "--out") == 0)
             args.outDir = value(i);
-        } else if (std::strcmp(argv[i], "--smoke") == 0) {
+        else if (std::strcmp(argv[i], "--smoke") == 0)
             args.smoke = true;
-        } else if (std::strcmp(argv[i], "--shard") == 0) {
-            try {
-                args.shard = api::ShardRange::parse(value(i));
-            } catch (const ConfigError &e) {
-                argError(e.what());
-            }
-        } else if (std::strcmp(argv[i], "--timeout-seconds") == 0) {
-            try {
-                args.timeoutSeconds =
-                    api::parseTimeoutSeconds(value(i));
-            } catch (const ConfigError &e) {
-                argError(e.what());
-            }
-        } else if (std::strcmp(argv[i], "--seed-check") == 0) {
-            try {
-                args.seedCheck = api::parseFingerprintArg(value(i));
-            } catch (const ConfigError &e) {
-                argError(e.what());
-            }
-        } else {
+        else
             argError(std::string("unknown argument: ") + argv[i]);
-        }
     }
     return args;
 }
-
-/**
- * A SpecRun plus the registry that owns its programs: run.jobs[].program
- * points into the registry's memo, so the two must travel together.
- */
-struct BenchRun
-{
-    api::BenchmarkRegistry registry;
-    api::SpecRun run;
-};
-
-/** Run @p spec through the paper registry, honouring BenchArgs. */
-inline BenchRun
-runSpec(const api::SweepSpec &spec, const BenchArgs &args)
-{
-    BenchRun bench_run{api::BenchmarkRegistry::paper(), {}};
-    api::RunSpecOptions options;
-    options.threads = args.threads;
-    options.outDir = args.outDir;
-    options.shard = args.shard;
-    options.timeoutSeconds = args.timeoutSeconds;
-    options.seedCheck = args.seedCheck;
-    bench_run.run = api::runSpec(spec, bench_run.registry, options);
-    return bench_run;
-}
-
-/**
- * Submission-order cursor for the benches' table phase: the table
- * loops re-walk the spec's axis structure consuming one result per
- * job, and the cursor asserts the two walks stay aligned.
- */
-class ResultCursor
-{
-  public:
-    explicit ResultCursor(const api::SpecRun &run) : run_(run) {}
-
-    const SimResult &
-    next()
-    {
-        LSQCA_REQUIRE(cursor_ < run_.report.results.size(),
-                      "result cursor ran past the job list");
-        return run_.report.results[cursor_++];
-    }
-
-  private:
-    const api::SpecRun &run_;
-    std::size_t cursor_ = 0;
-};
 
 /** Print a table and mirror it to <dir>/<stem>.csv when requested. */
 inline void

@@ -14,6 +14,7 @@
 #include "analysis/trace_analysis.h"
 #include "bench_util.h"
 #include "circuit/lowering.h"
+#include "sim/simulator.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
 

@@ -31,6 +31,7 @@
 #include "geom/grid.h"
 #include "service/journal.h"
 #include "sim/simulator.h"
+#include "sweep/sweep.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
 

@@ -10,6 +10,7 @@
 
 #include "bench_util.h"
 #include "common/stats.h"
+#include "sim/simulator.h"
 
 namespace lsqca {
 namespace {

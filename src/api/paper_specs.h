@@ -3,20 +3,22 @@
 
 /**
  * @file
- * SweepSpec builders for the paper's headline experiments. The figure
- * benches are thin wrappers over these (table rendering aside), and
- * `lsqca spec <name>` dumps them as JSON — specs/fig13.json is the
- * fig13 builder's output with its `name` changed to "fig13_cpi" (so
- * the CLI's BENCH file doesn't collide with the bench's), pinned
- * job-for-job against the builder by tests/api/spec_test.cpp. The CLI
- * and the compiled bench run the same experiment.
+ * The SweepSpecs of the paper's headline experiments, and the renderer
+ * that prints their tables from a BENCH document. `lsqca run <name>`
+ * runs one of these sweeps, `lsqca render <BENCH.json>` prints its
+ * tables, and `lsqca spec <name>` dumps it as JSON — specs/fig13.json
+ * is fig13()'s output with its `name` changed to "fig13_cpi", pinned
+ * job-for-job against fig13() by tests/api/spec_test.cpp.
  *
- * @p full mirrors the benches' --full flag: steady-state prefixes
+ * @p full mirrors the CLI's --full flag: steady-state prefixes
  * (multiplier/square_root/SELECT) are dropped and SELECT instances are
- * synthesized to completion.
+ * synthesized to completion. Job names do not depend on it.
  */
 
+#include <string>
+
 #include "api/spec.h"
+#include "common/json.h"
 
 namespace lsqca::api::specs {
 
@@ -37,6 +39,17 @@ SweepSpec smoke();
 
 /** Builder lookup by name (fig13|fig14|fig15|ablation|smoke). */
 SweepSpec byName(const std::string &name, bool full = false);
+
+/**
+ * The tables of Fig. 13, 14 or 15, or of the ablations, from a
+ * whole-sweep BENCH document (one run, or merged shards), as text.
+ * The figure is the builtin whose expanded job names equal the
+ * document's entry names, in order; the tables read each entry's
+ * `cpi`, `exec_beats` and `density` metrics.
+ * @throws ConfigError for a shard document or one that matches no
+ * figure.
+ */
+std::string renderFigure(const Json &benchDoc);
 
 } // namespace lsqca::api::specs
 

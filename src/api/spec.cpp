@@ -323,10 +323,6 @@ parseThreadCount(const std::string &text)
                           threads <= 4096,
                       "bad thread count");
         return threads;
-    } catch (const ConfigError &) {
-        throw ConfigError("--threads expects an integer in [0, 4096], "
-                          "got \"" +
-                          text + "\"");
     } catch (const std::exception &) {
         throw ConfigError("--threads expects an integer in [0, 4096], "
                           "got \"" +

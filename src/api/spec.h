@@ -132,8 +132,8 @@ struct ShardRange
 
 /**
  * Parse a `--threads` value: an integer worker count in [0, 4096]
- * (0 = hardware concurrency). Shared by every sweep front end so the
- * flag can't drift between the CLI and the benches.
+ * (0 = hardware concurrency). Shared by `lsqca run`, `submit`,
+ * `resume` and `serve`, so the flag reads the same everywhere.
  * @throws ConfigError.
  */
 std::int32_t parseThreadCount(const std::string &text);

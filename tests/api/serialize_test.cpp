@@ -3,7 +3,7 @@
  * Round-trip property tests for the config serializers: every
  * ArchConfig/Latencies/SimOptions field survives toJson -> fromJson,
  * unknown keys and out-of-range values are rejected, and label()
- * agrees across the round trip for every machine the benches use.
+ * agrees across the round trip for every machine the figure sweeps use.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,7 @@
 namespace lsqca::api {
 namespace {
 
-/** Every (sam, banks, hybrid) machine the figure benches sweep. */
+/** Every (sam, banks, hybrid) machine the paper's figure sweeps use. */
 std::vector<ArchConfig>
 benchMachines()
 {

@@ -283,6 +283,35 @@ TEST(ShardRange, ParsesAndValidates)
     EXPECT_THROW(ShardRange::parse("a/b"), ConfigError);
     EXPECT_THROW(ShardRange::parse("1/"), ConfigError);
     EXPECT_THROW(ShardRange::parse("1/0"), ConfigError);
+    EXPECT_THROW(ShardRange::parse("nope"), ConfigError);
+}
+
+TEST(FlagValues, ThreadCountRejectsMalformedValues)
+{
+    EXPECT_EQ(parseThreadCount("0"), 0);
+    EXPECT_EQ(parseThreadCount("4096"), 4096);
+    // atoi("x") == 0 once silently fell back to one worker.
+    for (const char *bad : {"x", "4x", "-1", "4097",
+                            "99999999999999999999", ""})
+        EXPECT_THROW(parseThreadCount(bad), ConfigError) << bad;
+}
+
+TEST(FlagValues, TimeoutSecondsRejectsMalformedValues)
+{
+    EXPECT_DOUBLE_EQ(parseTimeoutSeconds("2.5"), 2.5);
+    // Workers inherit this budget: a bad value must stop the worker,
+    // not run an unlimited sweep.
+    for (const char *bad : {"x", "4x", "-1", "0", "1e10", "1e999", ""})
+        EXPECT_THROW(parseTimeoutSeconds(bad), ConfigError) << bad;
+}
+
+TEST(FlagValues, FingerprintArgRejectsMalformedValues)
+{
+    EXPECT_EQ(parseFingerprintArg("0123456789abcdef"),
+              "0123456789abcdef");
+    for (const char *bad : {"nope", "0123456789ABCDEF",
+                            "0123456789abcde", "0123456789abcdef0", ""})
+        EXPECT_THROW(parseFingerprintArg(bad), ConfigError) << bad;
 }
 
 TEST(ShardRange, SlicesPartitionTheJobList)

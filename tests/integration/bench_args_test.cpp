@@ -1,9 +1,7 @@
 /**
  * @file
- * bench::parseArgs must fail fast: an unknown flag or a malformed
- * number exits non-zero instead of silently running the wrong
- * experiment (the pre-refactor parser ignored unknown arguments and
- * atoi'd "--threads x" to zero workers).
+ * bench::parseArgs must fail fast: an unknown flag or a missing value
+ * exits non-zero instead of silently running the wrong experiment.
  */
 
 #include <gtest/gtest.h>
@@ -24,20 +22,12 @@ parse(std::vector<const char *> argv)
 TEST(BenchArgs, ParsesTheSupportedFlags)
 {
     const BenchArgs args =
-        parse({"--csv", "csvdir", "--full", "--threads", "8", "--out",
-               "outdir", "--smoke", "--shard", "1/4",
-               "--timeout-seconds", "2.5", "--seed-check",
-               "0123456789abcdef"});
+        parse({"--csv", "csvdir", "--full", "--out", "outdir", "--smoke"});
     ASSERT_TRUE(args.csvDir.has_value());
     EXPECT_EQ(*args.csvDir, "csvdir");
     EXPECT_TRUE(args.full);
-    EXPECT_EQ(args.threads, 8);
     EXPECT_EQ(args.outDir, "outdir");
     EXPECT_TRUE(args.smoke);
-    EXPECT_EQ(args.shard.index, 1);
-    EXPECT_EQ(args.shard.count, 4);
-    EXPECT_DOUBLE_EQ(args.timeoutSeconds, 2.5);
-    EXPECT_EQ(args.seedCheck, "0123456789abcdef");
 }
 
 TEST(BenchArgsDeathTest, RejectsUnknownArguments)
@@ -46,19 +36,9 @@ TEST(BenchArgsDeathTest, RejectsUnknownArguments)
                 testing::ExitedWithCode(2), "unknown argument");
     EXPECT_EXIT(parse({"extra"}), testing::ExitedWithCode(2),
                 "unknown argument");
-}
-
-TEST(BenchArgsDeathTest, RejectsMalformedThreads)
-{
-    // atoi("x") == 0 used to silently fall back to one worker.
-    EXPECT_EXIT(parse({"--threads", "x"}),
-                testing::ExitedWithCode(2), "--threads expects");
-    EXPECT_EXIT(parse({"--threads", "4x"}),
-                testing::ExitedWithCode(2), "--threads expects");
-    EXPECT_EXIT(parse({"--threads", "-1"}),
-                testing::ExitedWithCode(2), "--threads expects");
-    EXPECT_EXIT(parse({"--threads", "99999999999999999999"}),
-                testing::ExitedWithCode(2), "--threads expects");
+    // The sweep flags belong to `lsqca run`, not to the table benches.
+    EXPECT_EXIT(parse({"--threads", "4"}), testing::ExitedWithCode(2),
+                "unknown argument");
 }
 
 TEST(BenchArgsDeathTest, RejectsMissingValues)
@@ -66,43 +46,6 @@ TEST(BenchArgsDeathTest, RejectsMissingValues)
     EXPECT_EXIT(parse({"--csv"}), testing::ExitedWithCode(2),
                 "missing value");
     EXPECT_EXIT(parse({"--out"}), testing::ExitedWithCode(2),
-                "missing value");
-    EXPECT_EXIT(parse({"--threads"}), testing::ExitedWithCode(2),
-                "missing value");
-}
-
-TEST(BenchArgsDeathTest, RejectsBadShards)
-{
-    EXPECT_EXIT(parse({"--shard", "2/2"}), testing::ExitedWithCode(2),
-                "shard");
-    EXPECT_EXIT(parse({"--shard", "nope"}), testing::ExitedWithCode(2),
-                "shard");
-}
-
-TEST(BenchArgsDeathTest, RejectsBadTimeouts)
-{
-    // The orchestrator passes these through to workers; a malformed
-    // policy value must stop the worker, not run an unlimited sweep.
-    EXPECT_EXIT(parse({"--timeout-seconds", "x"}),
-                testing::ExitedWithCode(2),
-                "--timeout-seconds expects");
-    EXPECT_EXIT(parse({"--timeout-seconds", "0"}),
-                testing::ExitedWithCode(2),
-                "--timeout-seconds expects");
-    EXPECT_EXIT(parse({"--timeout-seconds", "-1"}),
-                testing::ExitedWithCode(2),
-                "--timeout-seconds expects");
-    EXPECT_EXIT(parse({"--timeout-seconds"}),
-                testing::ExitedWithCode(2), "missing value");
-}
-
-TEST(BenchArgsDeathTest, RejectsBadSeedChecks)
-{
-    EXPECT_EXIT(parse({"--seed-check", "nope"}),
-                testing::ExitedWithCode(2), "--seed-check expects");
-    EXPECT_EXIT(parse({"--seed-check", "0123456789ABCDEF"}),
-                testing::ExitedWithCode(2), "--seed-check expects");
-    EXPECT_EXIT(parse({"--seed-check"}), testing::ExitedWithCode(2),
                 "missing value");
 }
 

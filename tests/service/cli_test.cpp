@@ -4,7 +4,8 @@
  * worker flags (--timeout-seconds, --seed-check, --die-after), the
  * directory form of `merge` with duplicate-entry rejection, and the
  * submit/status/resume round trip — each against the real binary, the
- * way CI and other machines invoke it.
+ * way CI and other machines invoke it. Also `emit`, the single-job
+ * text views (assembly, closed-form estimate).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "common/fs.h"
 #include "common/json.h"
 #include "common/subprocess.h"
+#include "isa/assembler.h"
 #include "service_test_util.h"
 
 namespace lsqca::service {
@@ -416,6 +418,56 @@ TEST(Cli, SubmitRejectsUnknownFlagsAndNonFileSpecs)
     EXPECT_EQ(builtin.exitCode, 1);
     EXPECT_NE(builtin.output.find("spec *file*"), std::string::npos)
         << builtin.output;
+}
+
+TEST(Cli, EmitAsmRoundTripsThroughTheAssembler)
+{
+    const std::string dir = test::scratchDir("emitasm");
+    const CliResult result = runCli(
+        {"emit", "asm", test::kSmokeSpec, "--job", "2"}, dir + "/log");
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    ASSERT_FALSE(result.output.empty());
+    EXPECT_EQ(assemble(result.output).disassemble(), result.output);
+}
+
+TEST(Cli, EmitEstimateIsALowerBoundOnEverySimulatedJob)
+{
+    const std::string dir = test::scratchDir("emitestimate");
+    ASSERT_EQ(runCli({"run", test::kSmokeSpec, "--no-timing", "--out",
+                      dir + "/out"},
+                     dir + "/runlog")
+                  .exitCode,
+              0);
+    const Json doc = Json::load(dir + "/out/BENCH_smoke.json");
+    const std::vector<Json> &entries = doc.at("entries").items();
+    ASSERT_FALSE(entries.empty());
+    const std::string label = "execution lower bound: ";
+    for (std::size_t job = 0; job < entries.size(); ++job) {
+        const CliResult result =
+            runCli({"emit", "estimate", test::kSmokeSpec, "--job",
+                    std::to_string(job)},
+                   dir + "/log" + std::to_string(job));
+        ASSERT_EQ(result.exitCode, 0) << result.output;
+        const std::size_t at = result.output.find(label);
+        ASSERT_NE(at, std::string::npos) << result.output;
+        const std::int64_t bound =
+            std::stoll(result.output.substr(at + label.size()));
+        EXPECT_GT(bound, 0) << job;
+        EXPECT_LE(bound,
+                  entries[job].at("metrics").at("exec_beats").asInt())
+            << entries[job].at("name").asString();
+    }
+}
+
+TEST(Cli, EmitRejectsAnUnknownFormatWithExitCode2)
+{
+    const std::string dir = test::scratchDir("emitformat");
+    const CliResult result =
+        runCli({"emit", "dot", test::kSmokeSpec}, dir + "/log");
+    EXPECT_EQ(result.exitCode, 2);
+    EXPECT_NE(result.output.find("unknown emit format"),
+              std::string::npos)
+        << result.output;
 }
 
 } // namespace

@@ -4,12 +4,14 @@
  * (the `specs/` directory, schema lsqca-spec-v1) into sweeps without
  * writing or compiling any C++:
  *
- *   lsqca run specs/fig13.json            # expand + simulate + BENCH json
+ *   lsqca run fig14 --out out             # expand + simulate + BENCH json
+ *   lsqca render out/BENCH_fig14.json     # the paper's Fig. 14 tables
  *   lsqca run specs/smoke.json --shard 0/4 --no-timing
  *   lsqca expand specs/fig13.json         # dry-run the job list
  *   lsqca list                            # registry + builtin specs
  *   lsqca merge --out all.json BENCH_smoke.shard*.json
  *   lsqca spec fig13                      # dump a builtin spec as JSON
+ *   lsqca emit asm fig13 --job 2          # one job's program as text
  *
  * Shards are contiguous slices of the expanded job vector; merged
  * shard BENCH documents are byte-identical to the unsharded run when
@@ -42,10 +44,12 @@
 #include <cstdio>
 #include <fstream>
 
+#include "analysis/estimator.h"
 #include "api/paper_specs.h"
 #include "api/registry.h"
 #include "api/serialize.h"
 #include "api/spec.h"
+#include "circuit/qasm.h"
 #include "common/error.h"
 #include "common/fs.h"
 #include "common/jsonl.h"
@@ -105,6 +109,18 @@ usage(std::ostream &out, int code)
         "                        result cache (docs/SERVICE.md)\n"
         "      --metrics FILE    write a sweep/pool metrics snapshot\n"
         "                        (\"-\" = stdout; docs/METRICS.md)\n"
+        "      --full            builtin specs only: drop prefixes\n"
+        "  render <BENCH.json> print the paper's tables (Fig. 13/14/15,\n"
+        "                      ablations) from a whole-sweep BENCH\n"
+        "                      document of that figure's builtin spec\n"
+        "  emit <format> <spec>  print ONE job of a spec as text:\n"
+        "                      qasm (its circuit, OpenQASM 2.0), asm\n"
+        "                      (its LSQCA program), or estimate (the\n"
+        "                      closed-form resource estimate, code\n"
+        "                      distance and physical qubits); the whole\n"
+        "                      program, whatever the job's prefix\n"
+        "      --job N           job index in the expanded sweep (default"
+        " 0)\n"
         "      --full            builtin specs only: drop prefixes\n"
         "  expand <spec>       validate a spec and print its job list\n"
         "      --shard i/N       print only that slice\n"
@@ -241,6 +257,32 @@ loadSpecArg(const std::string &arg, bool full)
     return specs::byName(arg, full);
 }
 
+/** One job of a spec, for the single-job commands (trace, emit). */
+struct SelectedJob
+{
+    SweepSpec spec;
+    /** Resolves the job's program (or circuit) on demand. */
+    BenchmarkRegistry registry;
+    ExpandedJob job;
+};
+
+/** Expand @p specArg and pick job @p jobIndex (`--job N`). */
+SelectedJob
+selectJob(const std::string &specArg, bool full, std::int32_t jobIndex)
+{
+    SelectedJob selected{loadSpecArg(specArg, full),
+                         BenchmarkRegistry::paper(), {}};
+    std::vector<ExpandedJob> jobs =
+        expandSpec(selected.spec, selected.registry);
+    LSQCA_REQUIRE(static_cast<std::size_t>(jobIndex) < jobs.size(),
+                  "--job " + std::to_string(jobIndex) +
+                      " is out of range: spec \"" + selected.spec.name +
+                      "\" expands to " + std::to_string(jobs.size()) +
+                      " jobs (see `lsqca expand`)");
+    selected.job = std::move(jobs[static_cast<std::size_t>(jobIndex)]);
+    return selected;
+}
+
 /** JsonlWriter with an optional cell-event mute (`--no-cells`). */
 class TraceJsonl : public collectors::JsonlWriter
 {
@@ -297,17 +339,11 @@ cmdTrace(int argc, char **argv)
     if (specArg.empty())
         badArg("trace needs a spec file");
 
-    const SweepSpec spec = loadSpecArg(specArg, full);
-    BenchmarkRegistry registry = BenchmarkRegistry::paper();
-    const std::vector<ExpandedJob> jobs = expandSpec(spec, registry);
-    LSQCA_REQUIRE(static_cast<std::size_t>(jobIndex) < jobs.size(),
-                  "--job " + std::to_string(jobIndex) +
-                      " is out of range: spec \"" + spec.name +
-                      "\" expands to " + std::to_string(jobs.size()) +
-                      " jobs (see `lsqca expand`)");
-    const ExpandedJob &job = jobs[static_cast<std::size_t>(jobIndex)];
+    SelectedJob selected = selectJob(specArg, full, jobIndex);
+    const SweepSpec &spec = selected.spec;
+    const ExpandedJob &job = selected.job;
     const Program &program =
-        registry.program(job.bench, job.params, job.translate);
+        selected.registry.program(job.bench, job.params, job.translate);
 
     // One job, every built-in collector attached. The JSONL stream
     // goes straight to a sibling temp file (a long trace with cell
@@ -451,6 +487,69 @@ cmdRun(int argc, char **argv)
                       TextTable::num(r.density(), 3)});
     }
     std::cout << table.render("lsqca run: " + spec.name);
+    return 0;
+}
+
+int
+cmdRender(int argc, char **argv)
+{
+    if (argc != 3 || argv[2][0] == '-')
+        badArg("render takes exactly one BENCH json");
+    std::cout << specs::renderFigure(Json::load(argv[2]));
+    return 0;
+}
+
+int
+cmdEmit(int argc, char **argv)
+{
+    if (argc < 3)
+        badArg("emit needs a format (qasm|asm|estimate) and a spec");
+    const std::string format = argv[2];
+    if (format != "qasm" && format != "asm" && format != "estimate") {
+        std::cerr << "lsqca: unknown emit format \"" << format
+                  << "\" (qasm|asm|estimate)\n";
+        return 2;
+    }
+    std::string specArg;
+    bool full = false;
+    std::int32_t jobIndex = 0;
+    for (int i = 3; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--job")
+            jobIndex = parseCount(needValue(argc, argv, i), "--job", 0,
+                                  (1 << 30));
+        else if (arg == "--full")
+            full = true;
+        else if (!arg.empty() && arg[0] == '-')
+            badArg("unknown emit option " + arg);
+        else if (specArg.empty())
+            specArg = arg;
+        else
+            badArg("emit takes exactly one spec");
+    }
+    if (specArg.empty())
+        badArg("emit needs a spec file");
+
+    SelectedJob selected = selectJob(specArg, full, jobIndex);
+    const ExpandedJob &job = selected.job;
+    if (format == "qasm") {
+        std::cout << toQasm(
+            selected.registry.entry(job.bench).synthesize(job.params));
+        return 0;
+    }
+    const Program &program =
+        selected.registry.program(job.bench, job.params, job.translate);
+    if (format == "asm") {
+        std::cout << program.disassemble();
+        return 0;
+    }
+    const ResourceEstimate est =
+        estimateResources(program, job.options.arch);
+    const std::int32_t d = requiredCodeDistance(est.lowerBoundBeats,
+                                                est.floorplan.totalCells);
+    std::cout << est.report() << "  code distance (1% run budget): " << d
+              << "\n  physical qubits      : "
+              << physicalQubits(est.floorplan.totalCells, d) << "\n";
     return 0;
 }
 
@@ -1276,6 +1375,10 @@ main(int argc, char **argv)
             return cmdTrace(argc, argv);
         if (command == "run")
             return cmdRun(argc, argv);
+        if (command == "render")
+            return cmdRender(argc, argv);
+        if (command == "emit")
+            return cmdEmit(argc, argv);
         if (command == "expand")
             return cmdExpand(argc, argv);
         if (command == "list")
