@@ -148,7 +148,7 @@ LineSamBank::storePlan(QubitId q, bool locality) const
             LSQCA_ASSERT(near.has_value(), "line-SAM bank is full");
             dest = *near;
         }
-        return {dest, alignCostToRow(dest.row) / lat_.move};
+        return {dest, dest, alignCostToRow(dest.row) / lat_.move};
     }
     // Locality-aware: drop into a row adjacent to the current gap
     // (the hot line); the in-flight qubit's hole slides there via
@@ -156,7 +156,17 @@ LineSamBank::storePlan(QubitId q, bool locality) const
     const std::int32_t row = gap_ < grid_.rows() ? gap_ : grid_.rows() - 1;
     const auto hole = grid_.nearestEmpty({row, 0});
     LSQCA_ASSERT(hole.has_value(), "line-SAM bank is full");
-    return {Coord{row, hole->col}, 0};
+    // hole is also the hole makeRoomAt(dest) would pick, so the commit
+    // needs no second query. dest = {row, hole.col} lies on the straight
+    // path from hole to {row, 0}, so d(hole, {row, 0}) = d(hole, dest) +
+    // d(dest, {row, 0}), while any empty e has d(e, {row, 0}) <= d(e,
+    // dest) + d(dest, {row, 0}) (triangle inequality). An e nearer to
+    // dest than hole would then be nearer to {row, 0} too. An e tied
+    // with hole at dest is no farther from {row, 0} than hole, where
+    // hole won: so e ties there and comes after hole in row-major
+    // order, the same tie-break hole then wins at dest. (When hole is
+    // in row itself, dest == hole and nothing walks.)
+    return {Coord{row, hole->col}, *hole, 0};
 }
 
 std::int64_t
@@ -177,7 +187,7 @@ std::int64_t
 LineSamBank::commitStore(QubitId q, bool locality)
 {
     const StorePlan plan = storePlan(q, locality);
-    grid_.makeRoomAt(plan.dest);
+    grid_.makeRoomAt(plan.dest, plan.hole);
     grid_.place(q, plan.dest);
     Coord &home = homeSlot(q);
     if (home.row < 0)

@@ -87,6 +87,20 @@ class LineSamBank
     std::int64_t commitStore(QubitId q, bool locality);
 
     /**
+     * Where a store of @p q goes: its cell @p dest, the hole the
+     * makeRoomAt insertion walks into @p dest (dest itself when it is
+     * empty, else the cell nearestEmpty(dest) returns), and the gap
+     * shifts charged.
+     */
+    struct StorePlan
+    {
+        Coord dest;
+        Coord hole;
+        std::int64_t shifts;
+    };
+    StorePlan storePlan(QubitId q, bool locality) const;
+
+    /**
      * Whether @p a and @p b can merge directly (ArchConfig::directSurgery
      * extension): same row or vertically adjacent rows, so one gap
      * position touches both.
@@ -100,12 +114,6 @@ class LineSamBank
     std::int64_t commitDirectSurgery(QubitId a, QubitId b);
 
   private:
-    struct StorePlan
-    {
-        Coord dest;
-        std::int64_t shifts;
-    };
-    StorePlan storePlan(QubitId q, bool locality) const;
     std::int64_t storeCostOf(const StorePlan &plan) const;
     std::int32_t nearerGapSide(std::int32_t row) const;
 

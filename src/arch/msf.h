@@ -8,6 +8,7 @@
  * production stalls while the buffer is full.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -42,8 +43,29 @@ class MagicSource
      * Consume the next magic state, requested no earlier than @p req.
      * Monotonically increasing @p req values are required (in-order
      * issue). @return the wait-resolved transfer window.
+     *
+     * Defined here, like deliveryTime and pushRing: the machine loop
+     * calls it once per magic-state request.
      */
-    Grant acquire(std::int64_t req);
+    Grant
+    acquire(std::int64_t req)
+    {
+        LSQCA_REQUIRE(req >= 0, "negative request time");
+        if (instant_)
+            return {req, req};
+        const std::int64_t k = consumed_;
+        const std::int64_t ready = deliveryTime(k);
+        const std::int64_t start = std::max(req, ready);
+        stallBeats_ += std::max<std::int64_t>(0, ready - req);
+
+        pushRing(dRing_, static_cast<std::size_t>(factories_), dSlot_,
+                 std::max(ready, std::int64_t{0}));
+        pushRing(cRing_, static_cast<std::size_t>(bufferCap_), cSlot_,
+                 start);
+
+        ++consumed_;
+        return {start, start + transfer_};
+    }
 
     /** States consumed so far. */
     std::int64_t consumed() const { return consumed_; }
@@ -52,7 +74,39 @@ class MagicSource
     std::int64_t stallBeats() const { return stallBeats_; }
 
   private:
-    std::int64_t deliveryTime(std::int64_t k) const;
+    std::int64_t
+    deliveryTime(std::int64_t k) const
+    {
+        if (warm_ && k < bufferCap_)
+            return 0; // pre-filled buffer at t = 0
+        std::int64_t prev_factory;
+        if (k >= factories_) {
+            prev_factory = dRing_[dSlot_]; // d_{k-f}
+        } else {
+            // Factory's first state after a cold start (or after the
+            // warm prefill was consumed faster than it could be
+            // produced).
+            prev_factory = 0;
+        }
+        std::int64_t ready = prev_factory + period_;
+        if (k >= bufferCap_)
+            ready = std::max(ready, cRing_[cSlot_]); // c_{k-B}
+        return ready;
+    }
+
+    /** Store @p value in @p ring's slot @p slot (size @p n), then
+     *  advance it. */
+    static void
+    pushRing(std::vector<std::int64_t> &ring, std::size_t n,
+             std::size_t &slot, std::int64_t value)
+    {
+        if (ring.size() < n)
+            ring.push_back(value); // still filling: slot == ring.size()
+        else
+            ring[slot] = value;
+        if (++slot == n)
+            slot = 0;
+    }
 
     std::int32_t factories_;
     std::int32_t bufferCap_;

@@ -114,7 +114,7 @@ PointSamBank::loadCost(QubitId q) const
 std::int64_t
 PointSamBank::commitLoad(QubitId q)
 {
-    const std::int64_t cost = loadCost(q);
+    const std::int64_t cost = fetchCostAt(grid_.locate(q)) + lat_.move;
     grid_.remove(q);
     scan_ = port_;
     return cost;
@@ -180,13 +180,16 @@ PointSamBank::fetchToPortCost(QubitId q) const
 std::int64_t
 PointSamBank::commitFetchToPort(QubitId q)
 {
-    const std::int64_t cost = fetchToPortCost(q);
+    // One position lookup prices the fetch and tells moveInto where q
+    // sits.
+    const Coord pos = grid_.locate(q);
+    const std::int64_t cost = fetchCostAt(pos);
     // The fetched qubit takes the port cell; the previous occupant (and
     // the chain behind it) slides one step toward the freed cell — the
     // LRU-like stack that keeps the hot working set port-adjacent.
     // Nearly always the freed cell is the hole nearest the port, so the
     // move is a rotation that leaves the empty set alone.
-    grid_.moveInto(q, port_);
+    grid_.moveInto(q, pos, port_);
     scan_ = port_;
     return cost;
 }

@@ -80,35 +80,48 @@ OccupancyGrid::nearestEmptyInRow(std::int32_t row,
 }
 
 std::int32_t
-OccupancyGrid::shiftPath(Coord cur, const Coord &dest)
+OccupancyGrid::shiftPath(const Coord &hole, const Coord &dest)
 {
-    std::int32_t steps = 0;
+    // A monotone path between two in-range cells stays in range, so the
+    // endpoints are the only cells to check; the walk itself runs over
+    // raw flat indices.
+    LSQCA_ASSERT(contains(hole) && contains(dest),
+                 "grid coordinate out of range");
+    QubitId *const cells = cells_.data();
+    Coord *const positions = positions_.data();
     // The listener check is hoisted out of the walk: the virtual
     // notification call could touch anything, so keeping it inside
     // forces a listener_ reload per shifted occupant and cost the
     // unobserved hole walk ~13% (bank/point/storeCost kernel).
     CellListener *const listener = listener_;
-    while (!(cur == dest)) {
-        Coord next = cur;
-        if (cur.row != dest.row)
-            next.row += dest.row > cur.row ? 1 : -1;
-        else
-            next.col += dest.col > cur.col ? 1 : -1;
+    Coord cur = hole;
+    const std::ptrdiff_t cols = cols_;
+    std::ptrdiff_t at = hole.row * cols + hole.col;
+    // Move the occupant of (next, at + stride) into the hole at cur.
+    const auto shift = [&](const Coord &next, std::ptrdiff_t stride) {
         // Every cell past the hole is strictly nearer to dest than the
         // hole, which is the nearest empty cell: it is occupied.
-        const QubitId occupant = cells_[index(next)];
+        const QubitId occupant = cells[at + stride];
         LSQCA_ASSERT(occupant != kNoQubit, "hole walk crossed a hole");
-        cells_[index(cur)] = occupant;
-        positions_[static_cast<std::size_t>(occupant)] = cur;
+        cells[at] = occupant;
+        positions[occupant] = cur;
         if (listener) {
             listener->onCellVacated(occupant, next);
             listener->onCellOccupied(occupant, cur);
         }
         cur = next;
-        ++steps;
-    }
-    cells_[index(dest)] = kNoQubit;
-    return steps;
+        at += stride;
+    };
+    // Rows first, along the hole's column ...
+    const std::int32_t dr = dest.row > hole.row ? 1 : -1;
+    while (cur.row != dest.row)
+        shift({cur.row + dr, cur.col}, dr * cols);
+    // ... then along dest's row.
+    const std::int32_t dc = dest.col > hole.col ? 1 : -1;
+    while (cur.col != dest.col)
+        shift({cur.row, cur.col + dc}, dc);
+    cells[at] = kNoQubit;
+    return manhattan(hole, dest);
 }
 
 std::int32_t
@@ -119,10 +132,21 @@ OccupancyGrid::makeRoomAt(const Coord &dest)
         return 0;
     const auto hole = nearestEmpty(dest);
     LSQCA_REQUIRE(hole.has_value(), "makeRoomAt on a full grid");
+    return makeRoomAt(dest, *hole);
+}
+
+std::int32_t
+OccupancyGrid::makeRoomAt(const Coord &dest, const Coord &hole)
+{
+    LSQCA_REQUIRE(contains(dest), "makeRoomAt target out of range");
+    LSQCA_REQUIRE(contains(hole) && isEmptyCell(hole),
+                  "makeRoomAt hole is not an empty cell");
+    if (hole == dest)
+        return 0;
     // Each intermediate cell is vacated and refilled, so the index only
     // sees the endpoints: the hole fills, dest empties.
-    const std::int32_t steps = shiftPath(*hole, dest);
-    empties_.onOccupy(*hole);
+    const std::int32_t steps = shiftPath(hole, dest);
+    empties_.onOccupy(hole);
     empties_.onVacate(dest);
     ++version_;
     ++emptySetVersion_;
@@ -130,10 +154,11 @@ OccupancyGrid::makeRoomAt(const Coord &dest)
 }
 
 std::int32_t
-OccupancyGrid::moveInto(QubitId q, const Coord &dest)
+OccupancyGrid::moveInto(QubitId q, const Coord &src, const Coord &dest)
 {
-    const Coord src = locate(q);
     LSQCA_REQUIRE(contains(dest), "moveInto target out of range");
+    LSQCA_ASSERT(cells_[index(src)] == q,
+                 "moveInto source does not hold the qubit");
     if (src == dest) {
         if (listener_) {
             listener_->onCellVacated(q, dest);
@@ -149,8 +174,10 @@ OccupancyGrid::moveInto(QubitId q, const Coord &dest)
         return std::tuple{manhattan(c, dest), c.row, c.col};
     };
     if (hole && !(key(src) < key(*hole))) {
+        // The freed src does not beat *hole, so *hole is still the
+        // nearest once q is removed.
         remove(q);
-        const std::int32_t steps = makeRoomAt(dest);
+        const std::int32_t steps = makeRoomAt(dest, *hole);
         place(q, dest);
         return steps;
     }

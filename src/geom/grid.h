@@ -168,6 +168,17 @@ class OccupancyGrid
     std::int32_t makeRoomAt(const Coord &dest);
 
     /**
+     * makeRoomAt(dest) for a caller that already knows the hole it
+     * would walk: no nearestEmpty query. @p hole must be the cell
+     * nearestEmpty(dest) returns (so @p dest itself when it is empty);
+     * a line-SAM store gets it from its own placement query (see
+     * docs/BANKS.md for why that hole is the nearest one). Layout,
+     * steps and cell events equal the one-argument form's.
+     * @pre contains(dest); @p hole is an empty cell.
+     */
+    std::int32_t makeRoomAt(const Coord &dest, const Coord &hole);
+
+    /**
      * Move placed qubit @p q into cell @p dest: the result, the cell
      * events and their order are those of `remove(q); makeRoomAt(dest);
      * place(q, dest)`, without that sequence's index churn.
@@ -180,10 +191,18 @@ class OccupancyGrid
      *    empty cells is unchanged — no index update, no memo loss.
      *  - otherwise: the three-call sequence.
      *
+     * @p src is q's cell, as the caller already looked it up (a bank
+     * prices the move from it); the two-argument form looks it up.
+     *
      * @return the number of hole steps.
-     * @pre q is placed and contains(dest).
+     * @pre q is placed at @p src and contains(dest).
      */
-    std::int32_t moveInto(QubitId q, const Coord &dest);
+    std::int32_t moveInto(QubitId q, const Coord &src, const Coord &dest);
+
+    std::int32_t moveInto(QubitId q, const Coord &dest)
+    {
+        return moveInto(q, locate(q), dest);
+    }
 
     /**
      * Monotonic mutation counter: bumped by every place/remove/relocate,
@@ -222,10 +241,11 @@ class OccupancyGrid
      * empty cell @p hole to @p dest one step toward @p hole, leaving
      * @p dest empty. Updates cells_/positions_ and notifies the
      * listener; the caller owns the index and the counters.
-     * @return the number of steps.
-     * @pre every path cell after @p hole is occupied.
+     * @return the number of steps, manhattan(hole, dest).
+     * @pre contains(hole), contains(dest); every path cell after
+     *      @p hole is occupied.
      */
-    std::int32_t shiftPath(Coord hole, const Coord &dest);
+    std::int32_t shiftPath(const Coord &hole, const Coord &dest);
 
     /** positions_ slot for @p q, grown on demand; {-1,-1} = unplaced. */
     Coord &positionSlot(QubitId q)

@@ -65,6 +65,17 @@ Program::append(const Instruction &inst)
     streamIndex_ = nullptr;
 }
 
+Program
+Program::prefix(std::int64_t n) const
+{
+    Program copy(numVariables_);
+    copy.numValues_ = numValues_;
+    copy.regs_ = regs_;
+    const std::int64_t kept = n > 0 ? std::min(n, size()) : size();
+    copy.code_.assign(code_.begin(), code_.begin() + kept);
+    return copy;
+}
+
 std::int64_t
 Program::countedInstructions() const
 {

@@ -75,6 +75,14 @@ class Program
     }
 
     /**
+     * A copy of the first @p n instructions (all of them when @p n <= 0
+     * or n >= size(), as SimOptions::maxInstructions reads it) over the
+     * same variables, value slots and registers: what a job with that
+     * instruction prefix simulates.
+     */
+    Program prefix(std::int64_t n) const;
+
+    /**
      * Number of instructions counted in CPI denominators: logical
      * commands excluding LD/ST traffic, so CPI ratios between
      * architectures equal execution-time ratios (see DESIGN.md §4.11).

@@ -16,6 +16,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <numeric>
 #include <tuple>
@@ -29,9 +30,6 @@
 #include "sim/simulator.h"
 
 namespace lsqca::detail {
-
-/** Where a program variable lives. */
-enum class Region : std::uint8_t { Sam, Conventional };
 
 /**
  * max over issue-time operands. The exec paths used
@@ -87,7 +85,7 @@ class Machine
     {
         cfg_.validate();
         LSQCA_ASSERT(cfg_.sam == KIND, "machine/config kind mismatch");
-        setupRegions();
+        setupResidency();
         setupBanks();
         // Size the ready timelines by the simulated prefix, not the
         // whole program: slots past the prefix maxima are never read
@@ -124,6 +122,13 @@ class Machine
         if constexpr (OBSERVE)
             beginObservation(observers, limit);
         const Instruction *code = prog_.instructions().data();
+        // The per-instruction accumulators live in locals, not in
+        // `result`: the caller's return slot escapes, so every bank call
+        // would otherwise force them back to memory.
+        std::array<std::int64_t, kNumOpcodes> opcodeCount{};
+        std::array<std::int64_t, kNumOpcodes> opcodeBeats{};
+        std::int64_t memoryBeats = 0;
+        std::int64_t execBeats = 0;
         for (std::int64_t i = 0; i < limit; ++i) {
             const Instruction &inst = code[i];
             if constexpr (OBSERVE) {
@@ -133,15 +138,10 @@ class Machine
             }
             const Step step = execute(inst);
             const auto op_idx = static_cast<std::size_t>(inst.op);
-            ++result.opcodeCount[op_idx];
-            result.opcodeBeats[op_idx] += step.end - step.start;
-            result.memoryBeats += step.memoryBeats;
-            result.execBeats = std::max(result.execBeats, step.end);
-            // Counted in the same pass (was a second sweep over the
-            // program): every non-LD/ST instruction enters the CPI
-            // denominator.
-            result.countedInstructions +=
-                inst.op != Opcode::LD && inst.op != Opcode::ST;
+            ++opcodeCount[op_idx];
+            opcodeBeats[op_idx] += step.end - step.start;
+            memoryBeats += step.memoryBeats;
+            execBeats = std::max(execBeats, step.end);
             if constexpr (OBSERVE) {
                 InstructionEvent event;
                 event.index = i;
@@ -167,7 +167,15 @@ class Machine
                 }
             }
         }
+        result.opcodeCount = opcodeCount;
+        result.opcodeBeats = opcodeBeats;
+        result.memoryBeats = memoryBeats;
+        result.execBeats = execBeats;
         result.instructionsSimulated = limit;
+        // Every non-LD/ST instruction enters the CPI denominator.
+        result.countedInstructions =
+            limit - opcodeCount[static_cast<std::size_t>(Opcode::LD)] -
+            opcodeCount[static_cast<std::size_t>(Opcode::ST)];
         result.cpi = result.countedInstructions == 0
                          ? 0.0
                          : static_cast<double>(result.execBeats) /
@@ -272,7 +280,7 @@ class Machine
     endObservation()
     {
         if constexpr (KIND != SamKind::Conventional) {
-            for (auto &bank : banks_)
+            for (Bank *bank : banks_)
                 if (bank)
                     bank->setCellListener(nullptr);
         }
@@ -280,17 +288,20 @@ class Machine
 
     // ---- setup --------------------------------------------------------
 
+    /**
+     * Pick the conventional-region variables: bankOf_ is -1 for them
+     * and 0 for the SAM-resident ones until setupBanks deals those.
+     */
     void
-    setupRegions()
+    setupResidency()
     {
         const auto n = static_cast<std::size_t>(prog_.numVariables());
-        region_.assign(n, Region::Sam);
-        bankOf_.assign(n, -1);
         if constexpr (KIND == SamKind::Conventional) {
-            region_.assign(n, Region::Conventional);
+            bankOf_.assign(n, -1);
             numConventional_ = static_cast<std::int64_t>(n);
             return;
         }
+        bankOf_.assign(n, 0);
         numConventional_ = static_cast<std::int64_t>(
             cfg_.hybridFraction * static_cast<double>(n) + 0.5);
         numConventional_ =
@@ -308,9 +319,8 @@ class Machine
                                         refs[static_cast<std::size_t>(b)];
                              });
             for (std::int64_t i = 0; i < numConventional_; ++i)
-                region_[static_cast<std::size_t>(
-                    order[static_cast<std::size_t>(i)])] =
-                    Region::Conventional;
+                bankOf_[static_cast<std::size_t>(
+                    order[static_cast<std::size_t>(i)])] = -1;
         }
     }
 
@@ -353,8 +363,7 @@ class Machine
             static_cast<std::size_t>(cfg_.banks));
         std::int64_t next = 0;
         for (std::int32_t v = 0; v < prog_.numVariables(); ++v) {
-            if (region_[static_cast<std::size_t>(v)] !=
-                Region::Sam)
+            if (bankOf_[static_cast<std::size_t>(v)] < 0)
                 continue;
             const auto b = static_cast<std::size_t>(next % cfg_.banks);
             dealt[b].push_back(v);
@@ -364,13 +373,15 @@ class Machine
         }
         for (auto &vars : dealt)
             vars = placementOrder(std::move(vars));
-        banks_.resize(static_cast<std::size_t>(cfg_.banks));
+        // Reserved up front: banks_ points into bankStore_.
+        bankStore_.reserve(dealt.size());
+        banks_.assign(dealt.size(), nullptr);
         for (std::size_t b = 0; b < dealt.size(); ++b) {
             if (dealt[b].empty())
                 continue;
             const auto cap =
                 static_cast<std::int32_t>(dealt[b].size());
-            banks_[b] = std::make_unique<Bank>(cap, cfg_.lat);
+            banks_[b] = &bankStore_.emplace_back(cap, cfg_.lat);
             banks_[b]->placeInitial(dealt[b]);
         }
     }
@@ -382,8 +393,7 @@ class Machine
     {
         if constexpr (KIND == SamKind::Conventional)
             return true;
-        return region_[static_cast<std::size_t>(m)] ==
-               Region::Conventional;
+        return bankOf_[static_cast<std::size_t>(m)] < 0;
     }
 
     std::int32_t
@@ -904,10 +914,14 @@ class Machine
     ArchConfig cfg_;
     MagicSource magic_;
 
-    std::vector<Region> region_;
+    /** Bank of each variable; -1 = conventional region (the only
+     *  residency table). */
     std::vector<std::int32_t> bankOf_;
     std::int64_t numConventional_ = 0;
-    std::vector<std::unique_ptr<Bank>> banks_;
+    std::vector<Bank> bankStore_;
+    /** Per bank index: its model in bankStore_, nullptr when no
+     *  variable was dealt to it. */
+    std::vector<Bank *> banks_;
 
     /** An open row-parallel unitary window (line SAM, Sec. V-C). */
     struct RowBatch

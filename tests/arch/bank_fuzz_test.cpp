@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "arch/line_sam.h"
 #include "arch/point_sam.h"
@@ -365,6 +367,17 @@ TEST_P(LineSamDifferential, BitIdenticalToReferenceOracle)
     opt.placeInitial(iota(placed));
     ref.placeInitial(iota(placed));
     std::set<QubitId> in_cr;
+    // The commit walks the plan's hole without asking the index again:
+    // it must be the hole makeRoomAt(dest) would have found.
+    const auto expectPlanHole = [&opt](QubitId q) {
+        const LineSamBank::StorePlan plan = opt.storePlan(q, true);
+        if (opt.grid().isEmptyCell(plan.dest)) {
+            EXPECT_EQ(plan.hole, plan.dest);
+        } else {
+            EXPECT_EQ(std::optional<Coord>(plan.hole),
+                      opt.grid().nearestEmpty(plan.dest));
+        }
+    };
 
     for (int step = 0; step < 1200; ++step) {
         const auto q = static_cast<QubitId>(rng.below(
@@ -395,6 +408,11 @@ TEST_P(LineSamDifferential, BitIdenticalToReferenceOracle)
                     ASSERT_EQ(opt.storeCost(q, locality), want)
                         << "seed " << seed << " step " << step
                         << " locality " << locality;
+                }
+                if (locality) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "seed " << seed << " step " << step);
+                    expectPlanHole(q);
                 }
                 ASSERT_EQ(opt.commitStore(q, locality), want)
                     << "seed " << seed << " step " << step
@@ -456,6 +474,7 @@ TEST_P(LineSamDifferential, BitIdenticalToReferenceOracle)
             expectSameLayout(opt, ref, placed, seed, step);
     }
     for (QubitId q : in_cr) {
+        expectPlanHole(q);
         ASSERT_EQ(opt.commitStore(q, true), ref.storeCost(q, true));
         ASSERT_EQ(opt.positionOf(q), ref.commitStore(q, true));
     }
@@ -489,6 +508,25 @@ expectSameGrid(const OccupancyGrid &opt,
         << "seed " << seed << " step " << step;
 }
 
+/** Records a grid's cell events as (occupied, qubit, cell) triples. */
+class CellLog final : public CellListener
+{
+  public:
+    void
+    onCellOccupied(QubitId q, const Coord &c) override
+    {
+        events.emplace_back(true, q, c);
+    }
+
+    void
+    onCellVacated(QubitId q, const Coord &c) override
+    {
+        events.emplace_back(false, q, c);
+    }
+
+    std::vector<std::tuple<bool, QubitId, Coord>> events;
+};
+
 /**
  * Grid-level differential: the incremental OccupancyIndex behind
  * OccupancyGrid must answer nearestEmpty / nearestEmptyInRow /
@@ -496,7 +534,9 @@ expectSameGrid(const OccupancyGrid &opt,
  * occupancy patterns and random targets (including targets outside
  * the grid, which the scan handles by plain distance), and moveInto
  * must leave the layout the reference's remove + makeRoomAt + place
- * leaves. Every mutating op is followed by a whole-layout comparison.
+ * leaves. makeRoomAt(dest, hole), given the hole nearestEmpty(dest)
+ * names, must match the one-argument form in layout, steps and cell
+ * events. Every mutating op is followed by a whole-layout comparison.
  */
 class GridDifferential : public ::testing::TestWithParam<int>
 {
@@ -532,7 +572,7 @@ TEST_P(GridDifferential, IndexMatchesReferenceScan)
             static_cast<std::int32_t>(rng.between(-2, rows + 1)),
             static_cast<std::int32_t>(rng.between(-2, cols + 1))};
         bool mutated = true;
-        switch (rng.below(6)) {
+        switch (rng.below(7)) {
           case 0: { // place at a random empty cell
             const auto empties = ref.emptyCells();
             if (!empties.empty()) {
@@ -584,7 +624,33 @@ TEST_P(GridDifferential, IndexMatchesReferenceScan)
             }
             break;
           }
-          case 4:
+          case 4: { // makeRoomAt with the hole already known
+            if (ref.emptyCount() > 0) {
+                const Coord dest = randomCell();
+                const auto hole = opt.nearestEmpty(dest);
+                ASSERT_TRUE(hole.has_value())
+                    << "seed " << seed << " step " << step;
+                OccupancyGrid queried = opt;
+                CellLog known_log;
+                CellLog queried_log;
+                opt.setCellListener(&known_log);
+                queried.setCellListener(&queried_log);
+                const std::int32_t want = queried.makeRoomAt(dest);
+                ASSERT_EQ(opt.makeRoomAt(dest, *hole), want)
+                    << "seed " << seed << " step " << step;
+                opt.setCellListener(nullptr);
+                ASSERT_EQ(ref.makeRoomAt(dest), want)
+                    << "seed " << seed << " step " << step;
+                ASSERT_EQ(known_log.events, queried_log.events)
+                    << "seed " << seed << " step " << step;
+                for (std::int32_t r = 0; r < rows; ++r)
+                    for (std::int32_t c = 0; c < cols; ++c)
+                        ASSERT_EQ(opt.at({r, c}), queried.at({r, c}))
+                            << "seed " << seed << " step " << step;
+            }
+            break;
+          }
+          case 5:
             mutated = false;
             ASSERT_EQ(opt.nearestEmpty(target), ref.nearestEmpty(target))
                 << "seed " << seed << " step " << step << " target "

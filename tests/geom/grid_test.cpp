@@ -339,6 +339,11 @@ expectMoveIntoMatchesUnfused(const OccupancyGrid &start, const Coord &from,
     unfused.setCellListener(&unfused_log);
     const QubitId q = start.at(from);
 
+    // The three-argument form, given q's cell, must do the same.
+    OccupancyGrid given_src = start;
+    EventLog given_src_log;
+    given_src.setCellListener(&given_src_log);
+
     const std::uint64_t empties = fused.emptySetVersion();
     const std::int32_t steps = fused.moveInto(q, dest);
     unfused.remove(q);
@@ -346,18 +351,27 @@ expectMoveIntoMatchesUnfused(const OccupancyGrid &start, const Coord &from,
     unfused.place(q, dest);
 
     EXPECT_EQ(steps, want);
+    EXPECT_EQ(given_src.moveInto(q, from, dest), want);
     EXPECT_EQ(fused_log.events, unfused_log.events);
+    EXPECT_EQ(given_src_log.events, unfused_log.events);
     EXPECT_EQ(fused.locate(q), dest);
     for (std::int32_t r = 0; r < start.rows(); ++r)
         for (std::int32_t c = 0; c < start.cols(); ++c) {
             EXPECT_EQ(fused.at({r, c}), unfused.at({r, c}))
                 << "cell " << Coord{r, c};
+            EXPECT_EQ(given_src.at({r, c}), unfused.at({r, c}))
+                << "cell " << Coord{r, c};
             if (fused.at({r, c}) != kNoQubit) {
                 EXPECT_EQ(fused.locate(fused.at({r, c})), (Coord{r, c}));
+                EXPECT_EQ(given_src.locate(fused.at({r, c})),
+                          (Coord{r, c}));
             }
         }
     EXPECT_EQ(fused.emptyCells(), unfused.emptyCells());
+    EXPECT_EQ(given_src.emptyCells(), unfused.emptyCells());
     EXPECT_EQ(fused.occupiedCount(), unfused.occupiedCount());
+    EXPECT_EQ(given_src.emptySetVersion() - start.emptySetVersion(),
+              fused.emptySetVersion() - empties);
     // The memo and the index agree with a fresh scan afterwards.
     for (std::int32_t r = 0; r < start.rows(); ++r)
         for (std::int32_t c = 0; c < start.cols(); ++c)
@@ -430,7 +444,123 @@ TEST(OccupancyGridMoveInto, RejectsBadArguments)
     OccupancyGrid g = filledExcept(2, 2, {{1, 1}});
     EXPECT_THROW(g.moveInto(7, {0, 0}), ConfigError); // not placed
     EXPECT_THROW(g.moveInto(100, {2, 0}), ConfigError);
+    EXPECT_THROW(g.moveInto(100, {0, 0}, {2, 0}), ConfigError);
+    // A source cell that does not hold the qubit is a caller bug.
+    EXPECT_THROW(g.moveInto(100, {0, 1}, {1, 0}), InternalError);
     EXPECT_EQ(g.locate(100), (Coord{0, 0}));
+}
+
+// ---- makeRoomAt with a known hole ------------------------------------------
+//
+// makeRoomAt(dest, hole) walks the same two straight segments (the
+// hole's column to dest's row, then dest's row) as the one-argument
+// form. Pinned against a step-by-step walk over a plain cell array.
+
+/** Cell contents of @p g, row-major. */
+std::vector<QubitId>
+cellsOf(const OccupancyGrid &g)
+{
+    std::vector<QubitId> cells;
+    for (std::int32_t r = 0; r < g.rows(); ++r)
+        for (std::int32_t c = 0; c < g.cols(); ++c)
+            cells.push_back(g.at({r, c}));
+    return cells;
+}
+
+/**
+ * Reference hole walk: one unit step at a time, row first while the
+ * rows differ, the next cell's occupant moving back into the hole.
+ * Applies the walk to @p cells (row-major, @p cols wide) and returns
+ * the cell events it makes.
+ */
+std::vector<CellEvent>
+referenceWalk(std::vector<QubitId> &cells, std::int32_t cols, Coord hole,
+              const Coord &dest)
+{
+    std::vector<CellEvent> events;
+    const auto at = [&](const Coord &c) -> QubitId & {
+        return cells[static_cast<std::size_t>(c.row * cols + c.col)];
+    };
+    while (!(hole == dest)) {
+        Coord next = hole;
+        if (next.row != dest.row)
+            next.row += dest.row > next.row ? 1 : -1;
+        else
+            next.col += dest.col > next.col ? 1 : -1;
+        const QubitId occupant = at(next);
+        at(hole) = occupant;
+        at(next) = kNoQubit;
+        events.push_back({false, occupant, next});
+        events.push_back({true, occupant, hole});
+        hole = next;
+    }
+    return events;
+}
+
+TEST(OccupancyGridMakeRoom, KnownHoleWalksMatchAStepByStepWalk)
+{
+    // One hole in a full 4 x 5 grid is the nearest hole to every cell,
+    // so every (hole, dest) pair is a legal walk: up, down, left and
+    // right, pure-row, pure-column and both segments together.
+    const std::int32_t rows = 4;
+    const std::int32_t cols = 5;
+    std::size_t pure_row = 0;
+    std::size_t pure_col = 0;
+    for (std::int32_t hr = 0; hr < rows; ++hr)
+        for (std::int32_t hc = 0; hc < cols; ++hc) {
+            const Coord hole{hr, hc};
+            const OccupancyGrid start = filledExcept(rows, cols, {hole});
+            for (std::int32_t dr = 0; dr < rows; ++dr)
+                for (std::int32_t dc = 0; dc < cols; ++dc) {
+                    const Coord dest{dr, dc};
+                    SCOPED_TRACE(::testing::Message()
+                                 << "hole " << hole << " dest " << dest);
+                    pure_row += hr == dr && hc != dc;
+                    pure_col += hc == dc && hr != dr;
+                    std::vector<QubitId> want = cellsOf(start);
+                    const std::vector<CellEvent> want_events =
+                        referenceWalk(want, cols, hole, dest);
+
+                    OccupancyGrid known = start;
+                    OccupancyGrid queried = start;
+                    EventLog known_log;
+                    EventLog queried_log;
+                    known.setCellListener(&known_log);
+                    queried.setCellListener(&queried_log);
+                    ASSERT_EQ(queried.nearestEmpty(dest), hole);
+                    EXPECT_EQ(known.makeRoomAt(dest, hole),
+                              manhattan(hole, dest));
+                    EXPECT_EQ(queried.makeRoomAt(dest),
+                              manhattan(hole, dest));
+                    EXPECT_EQ(cellsOf(known), want);
+                    EXPECT_EQ(cellsOf(queried), want);
+                    EXPECT_EQ(known_log.events, want_events);
+                    EXPECT_EQ(queried_log.events, want_events);
+                    for (std::int32_t r = 0; r < rows; ++r)
+                        for (std::int32_t c = 0; c < cols; ++c)
+                            if (known.at({r, c}) != kNoQubit) {
+                                EXPECT_EQ(known.locate(known.at({r, c})),
+                                          (Coord{r, c}));
+                            }
+                    EXPECT_EQ(known.emptyCells(),
+                              std::vector<Coord>{dest});
+                    EXPECT_EQ(known.nearestEmpty({0, 0}), dest);
+                }
+        }
+    EXPECT_EQ(pure_row, static_cast<std::size_t>(rows * cols * (cols - 1)));
+    EXPECT_EQ(pure_col, static_cast<std::size_t>(cols * rows * (rows - 1)));
+}
+
+TEST(OccupancyGridMakeRoom, KnownHoleRejectsBadArguments)
+{
+    OccupancyGrid g = filledExcept(2, 2, {{1, 1}});
+    EXPECT_THROW(g.makeRoomAt({2, 0}, {1, 1}), ConfigError);
+    EXPECT_THROW(g.makeRoomAt({0, 0}, {0, 1}), ConfigError); // occupied
+    EXPECT_THROW(g.makeRoomAt({0, 0}, {0, 2}), ConfigError);
+    // An empty destination is its own hole: nothing walks.
+    OccupancyGrid h = g;
+    EXPECT_EQ(h.makeRoomAt({1, 1}, {1, 1}), 0);
+    EXPECT_EQ(cellsOf(h), cellsOf(g));
 }
 
 TEST(OccupancyGrid, EmptyCellsRowMajor)

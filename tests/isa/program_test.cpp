@@ -93,6 +93,28 @@ TEST(Program, CountedInstructionsExcludesLoadStore)
     EXPECT_EQ(p.countedInstructions(), 1);
 }
 
+TEST(Program, PrefixKeepsTheSymbolTable)
+{
+    Program p(4);
+    p.addRegister("a", 0, 2);
+    p.newValue();
+    p.newValue();
+    for (std::int32_t m = 0; m < 4; ++m)
+        p.append(makeLd(m, 0));
+
+    const Program two = p.prefix(2);
+    EXPECT_EQ(two.size(), 2);
+    EXPECT_EQ(two.instructions()[1].m0, 1);
+    EXPECT_EQ(two.numVariables(), 4);
+    EXPECT_EQ(two.numValues(), 2);
+    ASSERT_EQ(two.registers().size(), 1u);
+    EXPECT_EQ(two.registers()[0].name, "a");
+    // 0 (like a job without a prefix) and an over-long prefix keep
+    // every instruction.
+    EXPECT_EQ(p.prefix(0).disassemble(), p.disassemble());
+    EXPECT_EQ(p.prefix(9).disassemble(), p.disassemble());
+}
+
 TEST(Program, MagicCountCountsPm)
 {
     Program p(1);

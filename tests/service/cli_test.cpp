@@ -459,6 +459,44 @@ TEST(Cli, EmitEstimateIsALowerBoundOnEverySimulatedJob)
     }
 }
 
+TEST(Cli, EmitEstimateCoversOnlyTheJobsPrefix)
+{
+    // fig13 job 26 (multiplier on line#1) simulates a 60k-instruction
+    // prefix of a ~1M-instruction program: the whole program's bound
+    // would be ten times its simulated time.
+    const std::string dir = test::scratchDir("emitprefix");
+    ASSERT_EQ(runCli({"run", "fig13", "--no-timing", "--out", dir + "/out"},
+                     dir + "/runlog")
+                  .exitCode,
+              0);
+    const Json doc = Json::load(dir + "/out/BENCH_fig13.json");
+    const Json &entry = doc.at("entries").items().at(26);
+    const CliResult result = runCli(
+        {"emit", "estimate", "fig13", "--job", "26"}, dir + "/log");
+    ASSERT_EQ(result.exitCode, 0) << result.output;
+    const std::string label = "execution lower bound: ";
+    const std::size_t at = result.output.find(label);
+    ASSERT_NE(at, std::string::npos) << result.output;
+    const std::int64_t bound =
+        std::stoll(result.output.substr(at + label.size()));
+    EXPECT_GT(bound, 0);
+    EXPECT_LE(bound, entry.at("metrics").at("exec_beats").asInt())
+        << entry.at("name").asString();
+}
+
+TEST(Cli, ErrorsCarryExactlyOneLsqcaPrefix)
+{
+    const std::string dir = test::scratchDir("errorprefix");
+    const CliResult result = runCli(
+        {"emit", "asm", test::kSmokeSpec, "--job", "99"}, dir + "/log");
+    EXPECT_EQ(result.exitCode, 1);
+    // Nothing reaches stdout on an error, so the log is stderr alone.
+    EXPECT_EQ(result.output.rfind("lsqca: config error: --job 99", 0), 0u)
+        << result.output;
+    EXPECT_EQ(result.output.find("lsqca: lsqca:"), std::string::npos)
+        << result.output;
+}
+
 TEST(Cli, EmitRejectsAnUnknownFormatWithExitCode2)
 {
     const std::string dir = test::scratchDir("emitformat");

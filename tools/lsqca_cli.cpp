@@ -38,6 +38,7 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -116,9 +117,11 @@ usage(std::ostream &out, int code)
         "  emit <format> <spec>  print ONE job of a spec as text:\n"
         "                      qasm (its circuit, OpenQASM 2.0), asm\n"
         "                      (its LSQCA program), or estimate (the\n"
-        "                      closed-form resource estimate, code\n"
-        "                      distance and physical qubits); the whole\n"
-        "                      program, whatever the job's prefix\n"
+        "                      closed-form resource estimate of the\n"
+        "                      instructions the job simulates, its\n"
+        "                      prefix or the whole program; code\n"
+        "                      distance and physical qubits of the\n"
+        "                      whole program)\n"
         "      --job N           job index in the expanded sweep (default"
         " 0)\n"
         "      --full            builtin specs only: drop prefixes\n"
@@ -543,10 +546,14 @@ cmdEmit(int argc, char **argv)
         std::cout << program.disassemble();
         return 0;
     }
-    const ResourceEstimate est =
-        estimateResources(program, job.options.arch);
-    const std::int32_t d = requiredCodeDistance(est.lowerBoundBeats,
-                                                est.floorplan.totalCells);
+    // The estimate covers the job's simulated prefix, so its bound
+    // compares with the job's exec_beats. The code distance sizes the
+    // machine that runs the whole program, prefix or not.
+    const ResourceEstimate est = estimateResources(
+        program.prefix(job.options.maxInstructions), job.options.arch);
+    const std::int32_t d = requiredCodeDistance(
+        estimateResources(program, job.options.arch).lowerBoundBeats,
+        est.floorplan.totalCells);
     std::cout << est.report() << "  code distance (1% run budget): " << d
               << "\n  physical qubits      : "
               << physicalQubits(est.floorplan.totalCells, d) << "\n";
@@ -1406,7 +1413,11 @@ main(int argc, char **argv)
         std::cerr << "lsqca: unknown command \"" << command << "\"\n";
         return usage(std::cerr, 2);
     } catch (const std::exception &e) {
-        std::cerr << "lsqca: " << e.what() << "\n";
+        // ConfigError and InternalError messages carry the prefix
+        // already.
+        const std::string_view what = e.what();
+        std::cerr << (what.starts_with("lsqca: ") ? "" : "lsqca: ") << what
+                  << "\n";
         return 1;
     }
 }
