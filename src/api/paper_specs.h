@@ -3,10 +3,10 @@
 
 /**
  * @file
- * The SweepSpecs of the paper's headline experiments, and the renderer
- * that prints their tables from a BENCH document. `lsqca run <name>`
- * runs one of these sweeps, `lsqca render <BENCH.json>` prints its
- * tables, and `lsqca spec <name>` dumps it as JSON — specs/fig13.json
+ * The SweepSpecs of the paper's headline experiments, and the renderers
+ * of the paper's tables. `lsqca run <name>` runs one of these sweeps,
+ * `lsqca render <BENCH.json>` prints its tables, `lsqca render
+ * table1|fig07|fig08` prints the tables that need no sweep, and `lsqca spec <name>` dumps it as JSON — specs/fig13.json
  * is fig13()'s output with its `name` changed to "fig13_cpi", pinned
  * job-for-job against fig13() by tests/api/spec_test.cpp.
  *
@@ -15,6 +15,7 @@
  * synthesized to completion. Job names do not depend on it.
  */
 
+#include <optional>
 #include <string>
 
 #include "api/spec.h"
@@ -50,6 +51,15 @@ SweepSpec byName(const std::string &name, bool full = false);
  * figure.
  */
 std::string renderFigure(const Json &benchDoc);
+
+/**
+ * The tables of Table I ("table1": the instruction set, with latencies
+ * measured by microprobes on a point-SAM), Fig. 7 ("fig07": floorplan
+ * densities) or Fig. 8 ("fig08": the reference patterns of the SELECT
+ * and whole multiplier traces), as text; these need no sweep.
+ * @return nothing for any other @p name.
+ */
+std::optional<std::string> renderTable(const std::string &name);
 
 } // namespace lsqca::api::specs
 

@@ -6,11 +6,9 @@ namespace lsqca {
 namespace detail {
 
 void
-throwConfigError(const char *file, int line, const std::string &msg)
+throwConfigError(const std::string &msg)
 {
-    std::ostringstream oss;
-    oss << msg << " [" << file << ":" << line << "]";
-    throw ConfigError(oss.str());
+    throw ConfigError(msg);
 }
 
 void

@@ -37,9 +37,12 @@ class InternalError : public std::logic_error
 
 namespace detail {
 
-/** Throw ConfigError with source location context. */
-[[noreturn]] void throwConfigError(const char *file, int line,
-                                   const std::string &msg);
+/**
+ * Throw ConfigError. Its message is the user's to read, so it names
+ * no source location; out of line, so that LSQCA_REQUIRE stays small
+ * where it is inlined.
+ */
+[[noreturn]] void throwConfigError(const std::string &msg);
 
 /** Throw InternalError with source location context. */
 [[noreturn]] void throwInternalError(const char *file, int line,
@@ -56,7 +59,7 @@ namespace detail {
 #define LSQCA_REQUIRE(cond, msg)                                            \
     do {                                                                    \
         if (!(cond)) {                                                      \
-            ::lsqca::detail::throwConfigError(__FILE__, __LINE__, (msg));   \
+            ::lsqca::detail::throwConfigError((msg));                       \
         }                                                                   \
     } while (0)
 

@@ -4,7 +4,8 @@
  * Fig. 13 rendering is pinned against tests/golden/fig13_tables.txt,
  * the document of the checked-in specs/fig13.json renders like the
  * builtin's, and documents of any other sweep (a shard, a renamed
- * entry, the smoke sweep) are refused.
+ * entry, the smoke sweep) are refused. specs::renderTable's Table I,
+ * Fig. 7 and Fig. 8 are pinned against tests/golden/<name>_tables.txt.
  */
 
 #include <gtest/gtest.h>
@@ -63,6 +64,26 @@ TEST(RenderFigure, RefusesDocumentsOfOtherSweeps)
 
     EXPECT_THROW(specs::renderFigure(runDocument(specs::smoke())),
                  ConfigError);
+}
+
+TEST(RenderTable, MatchesTheGoldenTables)
+{
+    for (const std::string name : {"table1", "fig07", "fig08"}) {
+        const auto tables = specs::renderTable(name);
+        ASSERT_TRUE(tables.has_value()) << name;
+        EXPECT_EQ(*tables,
+                  fsutil::readFile(std::string(LSQCA_SOURCE_DIR) +
+                                   "/tests/golden/" + name +
+                                   "_tables.txt"))
+            << name;
+    }
+}
+
+TEST(RenderTable, KnowsOnlyTheThreeTables)
+{
+    EXPECT_FALSE(specs::renderTable("fig13").has_value());
+    EXPECT_FALSE(specs::renderTable("table2").has_value());
+    EXPECT_FALSE(specs::renderTable("").has_value());
 }
 
 } // namespace

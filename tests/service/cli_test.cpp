@@ -5,7 +5,8 @@
  * directory form of `merge` with duplicate-entry rejection, and the
  * submit/status/resume round trip — each against the real binary, the
  * way CI and other machines invoke it. Also `emit`, the single-job
- * text views (assembly, closed-form estimate).
+ * text views (assembly, closed-form estimate), and `render`'s
+ * argument checks.
  */
 
 #include <gtest/gtest.h>
@@ -495,6 +496,35 @@ TEST(Cli, ErrorsCarryExactlyOneLsqcaPrefix)
         << result.output;
     EXPECT_EQ(result.output.find("lsqca: lsqca:"), std::string::npos)
         << result.output;
+    // A user-facing error names no source file of the build.
+    EXPECT_EQ(result.output.find("lsqca_cli.cpp"), std::string::npos)
+        << result.output;
+}
+
+TEST(Cli, RenderRefusesAnUnknownNameAndAnyFlag)
+{
+    const std::string dir = test::scratchDir("renderargs");
+    // Neither a table name nor a readable BENCH document.
+    const CliResult unknown = runCli({"render", "fig09"}, dir + "/log1");
+    EXPECT_EQ(unknown.exitCode, 1);
+    EXPECT_NE(unknown.output.find("cannot open for reading: fig09"),
+              std::string::npos)
+        << unknown.output;
+
+    for (const char *flag : {"--csv", "--full", "--smoke"}) {
+        const CliResult flagged =
+            runCli({"render", flag}, dir + "/log" + flag);
+        EXPECT_EQ(flagged.exitCode, 1) << flag;
+        EXPECT_NE(flagged.output.find("render takes exactly one"),
+                  std::string::npos)
+            << flagged.output;
+        const CliResult trailing =
+            runCli({"render", "fig08", flag}, dir + "/trail" + flag);
+        EXPECT_EQ(trailing.exitCode, 1) << flag;
+        EXPECT_NE(trailing.output.find("render takes exactly one"),
+                  std::string::npos)
+            << trailing.output;
+    }
 }
 
 TEST(Cli, EmitRejectsAnUnknownFormatWithExitCode2)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two BENCH_*.json files and fail on timing regressions.
 
-The bench harness (SweepEngine / micro_kernels) writes
+The bench harnesses (SweepEngine / bench/micro) write
 `bench/out/BENCH_<name>.json` with a list of named entries, each
 carrying a flat metrics dict. This tool matches entries by name between
 a baseline and a candidate run and:

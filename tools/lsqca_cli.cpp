@@ -6,6 +6,7 @@
  *
  *   lsqca run fig14 --out out             # expand + simulate + BENCH json
  *   lsqca render out/BENCH_fig14.json     # the paper's Fig. 14 tables
+ *   lsqca render table1                   # Table I (also fig07, fig08)
  *   lsqca run specs/smoke.json --shard 0/4 --no-timing
  *   lsqca expand specs/fig13.json         # dry-run the job list
  *   lsqca list                            # registry + builtin specs
@@ -114,6 +115,9 @@ usage(std::ostream &out, int code)
         "  render <BENCH.json> print the paper's tables (Fig. 13/14/15,\n"
         "                      ablations) from a whole-sweep BENCH\n"
         "                      document of that figure's builtin spec\n"
+        "  render table1|fig07|fig08  print Table I (the ISA, measured\n"
+        "                      latencies), Fig. 7 (floorplan densities)\n"
+        "                      or Fig. 8 (reference patterns)\n"
         "  emit <format> <spec>  print ONE job of a spec as text:\n"
         "                      qasm (its circuit, OpenQASM 2.0), asm\n"
         "                      (its LSQCA program), or estimate (the\n"
@@ -497,8 +501,11 @@ int
 cmdRender(int argc, char **argv)
 {
     if (argc != 3 || argv[2][0] == '-')
-        badArg("render takes exactly one BENCH json");
-    std::cout << specs::renderFigure(Json::load(argv[2]));
+        badArg("render takes exactly one table name or BENCH json");
+    if (const auto table = specs::renderTable(argv[2]))
+        std::cout << *table;
+    else
+        std::cout << specs::renderFigure(Json::load(argv[2]));
     return 0;
 }
 
